@@ -96,9 +96,11 @@
 //! fixed node→shard split, the engine also **rebalances ownership
 //! online**: on any tick whose boundary carries membership
 //! transitions, lane boundaries are recomputed to even out *present*
-//! nodes and each migrating node's full state (choices, inbox, local
-//! epoch, RNG stream, pending calendar entries) moves to its new
-//! lane. The move happens only between windows — when cross-shard
+//! nodes and each migrating node's full state (choices, inbox depth,
+//! local epoch, RNG stream, pending calendar entries) moves to its new
+//! lane. An inbox is a bounded depth counter; messages ride in their
+//! `Deliver` event, so queued mail moves with the calendar entries.
+//! The move happens only between windows — when cross-shard
 //! mailboxes are provably empty — and the same per-node-stream +
 //! intrinsic-key argument that makes the partition invisible to the
 //! protocol makes rebalancing semantically a no-op: byte-identity
@@ -106,7 +108,6 @@
 //!
 //! [`FaultPlan`]: crate::FaultPlan
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use rand::rngs::SmallRng;
@@ -116,8 +117,8 @@ use sociolearn_sim::WorkerPool;
 
 use crate::cast::index_u32;
 use crate::event::{
-    Event, Mode, Msg, Pending, StalenessBound, ASYNC_EPOCH_PERIOD, ASYNC_WAKE_JITTER,
-    DELIVER_DELAY, MAX_MESSAGE_LATENCY, RETRY_TIMEOUT, WAKE_SPREAD,
+    Event, Mode, Pending, StalenessBound, ASYNC_EPOCH_PERIOD, ASYNC_WAKE_JITTER, DELIVER_DELAY,
+    MAX_MESSAGE_LATENCY, RETRY_TIMEOUT, WAKE_SPREAD,
 };
 use crate::soa::{AlignedU32s, AlignedU64s};
 use crate::{
@@ -413,7 +414,8 @@ fn event_target(ev: &Event) -> u32 {
     match ev {
         Event::Wake { node, .. }
         | Event::ReplyArrive { node, .. }
-        | Event::Deliver { node }
+        | Event::DeliverQuery { node, .. }
+        | Event::DeliverReply { node, .. }
         | Event::Timeout { node, .. } => *node,
         Event::QueryArrive { to, .. } => *to,
     }
@@ -547,8 +549,10 @@ struct Ctx {
 /// as the single-heap engine (commitment, one-slot history, local
 /// epoch) plus the per-source sequence counter and incarnation tag
 /// that give the sharded engine its intrinsic `(time, src, seq)`
-/// total order. Still a constant footprint: rebalancing hands these
-/// across lanes, it never grows them.
+/// total order. The inbox is transport bookkeeping outside this
+/// budget: a bounded depth counter; messages ride in their `Deliver`
+/// event. Still a constant footprint: rebalancing hands these across
+/// lanes, it never grows them.
 pub(crate) const SHARD_LANE_NODE_STATE_BYTES: usize = 2 * std::mem::size_of::<NodeState>()
     + std::mem::size_of::<u64>()
     + 2 * std::mem::size_of::<u32>();
@@ -576,7 +580,9 @@ struct ShardLane {
     epochs: AlignedU64s,
     last_wake: AlignedU64s,
     pending: Vec<Pending>,
-    inboxes: Vec<VecDeque<Msg>>,
+    /// Per-node inbox depth: messages accepted, their `Deliver` event
+    /// not yet processed.
+    depth: AlignedU32s,
     rngs: Vec<SmallRng>,
     seqs: AlignedU32s,
     /// Per-node incarnation counters, bumped on every leave so a
@@ -592,8 +598,14 @@ struct ShardLane {
     /// Commitment counts per option over this lane's nodes.
     counts: Vec<u64>,
     calendar: Calendar<Event>,
-    /// Per-destination-shard mailboxes, drained at window boundaries.
+    /// Per-destination-shard mailboxes, filled during a block.
     outboxes: Vec<Vec<Entry<Event>>>,
+    /// Per-source-shard mailboxes: at the block barrier each peer's
+    /// outbox for this lane is swapped in here, and the lane pours
+    /// them into its own calendar (the emptied buffers swap back out
+    /// as the peers' next outboxes, so steady state allocates
+    /// nothing).
+    inbound: Vec<Vec<Entry<Event>>>,
     /// This tick's counter contributions (summed across lanes).
     rm: RoundMetrics,
     max_queue_depth: usize,
@@ -635,19 +647,25 @@ impl ShardLane {
         ctx.drop_prob > 0.0 && self.rngs[local].gen_bool(ctx.drop_prob)
     }
 
-    /// Offers `msg` to a local node's bounded inbox; schedules the
-    /// matching `Deliver` on success, counts a backpressure drop on
-    /// overflow. Mirrors the single-heap `enqueue`.
-    fn enqueue(&mut self, local: usize, msg: Msg, now: u64, ctx: &Ctx) {
-        let inbox = &mut self.inboxes[local];
-        if inbox.len() >= ctx.queue_bound {
+    /// Offers a local node a message; `deliver` is its `Deliver`
+    /// event, scheduled on success, while overflow counts a
+    /// backpressure drop. Mirrors the single-heap `enqueue`.
+    fn enqueue(&mut self, local: usize, deliver: Event, now: u64, ctx: &Ctx) {
+        let depth = self.depth[local];
+        if depth as usize >= ctx.queue_bound {
             self.rm.queue_drops += 1;
             return;
         }
-        inbox.push_back(msg);
-        self.max_queue_depth = self.max_queue_depth.max(inbox.len());
+        self.depth[local] = depth + 1;
+        self.max_queue_depth = self.max_queue_depth.max(depth as usize + 1);
         let node = self.base + index_u32(local);
-        self.push_from(node, now + DELIVER_DELAY, Event::Deliver { node }, ctx);
+        self.push_from(node, now + DELIVER_DELAY, deliver, ctx);
+    }
+
+    /// Takes one delivered message off a local node's inbox.
+    fn dequeue(&mut self, local: usize) {
+        debug_assert!(self.depth[local] > 0, "delivery without a queued message");
+        self.depth[local] -= 1;
     }
 
     /// Replaces a local node's commitment, keeping the lane's counts
@@ -734,28 +752,27 @@ impl ShardLane {
         }
     }
 
-    /// Quiesced inbox head processing.
-    fn deliver_q(&mut self, local: usize, now: u64, ctx: &Ctx) {
-        let Some(msg) = self.inboxes[local].pop_front() else {
-            return;
-        };
-        match msg {
-            Msg::Query { from, epoch: _ } => {
-                let option = self.back[local];
-                if option != NO_CHOICE && !self.link_drops(local, ctx) {
-                    let at = msg_at(now, self.latency(local), ctx);
-                    let node = self.base + index_u32(local);
-                    self.push_from(node, at, Event::ReplyArrive { node: from, option }, ctx);
-                }
-            }
-            Msg::Reply { option } => {
-                if self.pending[local].resolved {
-                    return;
-                }
-                self.rm.replies_received += 1;
-                self.decide_q(local, option, ctx);
-            }
+    /// Quiesced delivery of a query: answer from last epoch's
+    /// commitment.
+    fn deliver_query_q(&mut self, local: usize, from: u32, now: u64, ctx: &Ctx) {
+        self.dequeue(local);
+        let option = self.back[local];
+        if option != NO_CHOICE && !self.link_drops(local, ctx) {
+            let at = msg_at(now, self.latency(local), ctx);
+            let node = self.base + index_u32(local);
+            self.push_from(node, at, Event::ReplyArrive { node: from, option }, ctx);
         }
+    }
+
+    /// Quiesced delivery of a reply: resolve stage 1 unless already
+    /// resolved.
+    fn deliver_reply_q(&mut self, local: usize, option: u32, ctx: &Ctx) {
+        self.dequeue(local);
+        if self.pending[local].resolved {
+            return;
+        }
+        self.rm.replies_received += 1;
+        self.decide_q(local, option, ctx);
     }
 
     /// Resets the lane for a fresh quiesced epoch and wakes its
@@ -769,7 +786,7 @@ impl ShardLane {
         debug_assert!(self.calendar.is_empty(), "previous epoch left events");
         for local in 0..self.len() {
             self.choices[local] = NO_CHOICE;
-            debug_assert!(self.inboxes[local].is_empty(), "previous epoch left mail");
+            debug_assert_eq!(self.depth[local], 0, "previous epoch left mail");
             let node = self.base + index_u32(local);
             if ctx.present[node as usize] {
                 self.rm.alive += 1;
@@ -796,18 +813,24 @@ impl ShardLane {
             }
             Event::QueryArrive { from, to, epoch } => {
                 if !ctx.has_faults || ctx.present[to as usize] {
-                    self.enqueue(
-                        (to - self.base) as usize,
-                        Msg::Query { from, epoch },
-                        now,
-                        ctx,
-                    );
+                    let deliver = Event::DeliverQuery {
+                        node: to,
+                        from,
+                        epoch,
+                    };
+                    self.enqueue((to - self.base) as usize, deliver, now, ctx);
                 }
             }
             Event::ReplyArrive { node, option } => {
-                self.enqueue((node - self.base) as usize, Msg::Reply { option }, now, ctx);
+                let deliver = Event::DeliverReply { node, option };
+                self.enqueue((node - self.base) as usize, deliver, now, ctx);
             }
-            Event::Deliver { node } => self.deliver_q((node - self.base) as usize, now, ctx),
+            Event::DeliverQuery { node, from, .. } => {
+                self.deliver_query_q((node - self.base) as usize, from, now, ctx);
+            }
+            Event::DeliverReply { node, option } => {
+                self.deliver_reply_q((node - self.base) as usize, option, ctx);
+            }
             Event::Timeout {
                 node,
                 attempt,
@@ -909,42 +932,47 @@ impl ShardLane {
         }
     }
 
-    /// Async inbox head processing with responder-side staleness
+    /// Async delivery of a query, with responder-side staleness
     /// filtering.
-    fn deliver_async(&mut self, local: usize, now: u64, ctx: &Ctx, bound: StalenessBound) {
-        let Some(msg) = self.inboxes[local].pop_front() else {
-            return;
+    fn deliver_query_async(
+        &mut self,
+        local: usize,
+        from: u32,
+        epoch: u64,
+        now: u64,
+        ctx: &Ctx,
+        bound: StalenessBound,
+    ) {
+        self.dequeue(local);
+        let want = epoch.saturating_sub(1);
+        let r = self.epochs[local];
+        let (option, stale) = if want >= r {
+            (self.choices[local], want - r)
+        } else {
+            (self.back[local], 0)
         };
-        match msg {
-            Msg::Query { from, epoch } => {
-                let want = epoch.saturating_sub(1);
-                let r = self.epochs[local];
-                let (option, stale) = if want >= r {
-                    (self.choices[local], want - r)
-                } else {
-                    (self.back[local], 0)
-                };
-                if option == NO_CHOICE {
-                    return;
-                }
-                if !bound.allows(stale) {
-                    self.rm.stale_replies += 1;
-                    return;
-                }
-                if !self.link_drops(local, ctx) {
-                    let at = msg_at(now, self.latency(local), ctx);
-                    let node = self.base + index_u32(local);
-                    self.push_from(node, at, Event::ReplyArrive { node: from, option }, ctx);
-                }
-            }
-            Msg::Reply { option } => {
-                if self.pending[local].resolved {
-                    return;
-                }
-                self.rm.replies_received += 1;
-                self.decide_async(local, option, now, ctx);
-            }
+        if option == NO_CHOICE {
+            return;
         }
+        if !bound.allows(stale) {
+            self.rm.stale_replies += 1;
+            return;
+        }
+        if !self.link_drops(local, ctx) {
+            let at = msg_at(now, self.latency(local), ctx);
+            let node = self.base + index_u32(local);
+            self.push_from(node, at, Event::ReplyArrive { node: from, option }, ctx);
+        }
+    }
+
+    /// Async delivery of a reply.
+    fn deliver_reply_async(&mut self, local: usize, option: u32, now: u64, ctx: &Ctx) {
+        self.dequeue(local);
+        if self.pending[local].resolved {
+            return;
+        }
+        self.rm.replies_received += 1;
+        self.decide_async(local, option, now, ctx);
     }
 
     /// Handles one due fully-async event.
@@ -963,28 +991,34 @@ impl ShardLane {
             }
             Event::QueryArrive { from, to, epoch } => {
                 if ctx.present[to as usize] {
-                    self.enqueue(
-                        (to - self.base) as usize,
-                        Msg::Query { from, epoch },
-                        now,
-                        ctx,
-                    );
+                    let deliver = Event::DeliverQuery {
+                        node: to,
+                        from,
+                        epoch,
+                    };
+                    self.enqueue((to - self.base) as usize, deliver, now, ctx);
                 }
             }
             Event::ReplyArrive { node, option } => {
                 if ctx.present[node as usize] {
-                    self.enqueue((node - self.base) as usize, Msg::Reply { option }, now, ctx);
+                    let deliver = Event::DeliverReply { node, option };
+                    self.enqueue((node - self.base) as usize, deliver, now, ctx);
                 }
             }
-            Event::Deliver { node } => {
+            // Mail already in the inbox of a node that has since left
+            // or crashed is consumed unread, keeping deliveries 1:1
+            // with enqueues even for the dead.
+            Event::DeliverQuery { node, .. } | Event::DeliverReply { node, .. }
+                if !ctx.present[node as usize] =>
+            {
+                self.dequeue((node - self.base) as usize);
+            }
+            Event::DeliverQuery { node, from, epoch } => {
                 let local = (node - self.base) as usize;
-                if ctx.present[node as usize] {
-                    self.deliver_async(local, now, ctx, bound);
-                } else {
-                    // Keep deliveries 1:1 with enqueues even for the
-                    // dead.
-                    self.inboxes[local].pop_front();
-                }
+                self.deliver_query_async(local, from, epoch, now, ctx, bound);
+            }
+            Event::DeliverReply { node, option } => {
+                self.deliver_reply_async((node - self.base) as usize, option, now, ctx);
             }
             Event::Timeout {
                 node,
@@ -1033,6 +1067,17 @@ impl ShardLane {
             }
             self.run_window(w, ctx);
             cursor = w + 1;
+        }
+    }
+
+    /// Pours the mail peers handed over at the block barrier into
+    /// this lane's calendar. Push order is free: `take_due` re-sorts
+    /// every window by `(src, seq)`.
+    fn absorb_inbound(&mut self) {
+        for bucket in &mut self.inbound {
+            for entry in bucket.drain(..) {
+                self.calendar.push(entry);
+            }
         }
     }
 
@@ -1109,7 +1154,7 @@ impl ShardedEngine {
                     epochs: AlignedU64s::with_len(len, 0),
                     last_wake: AlignedU64s::with_len(len, 0),
                     pending: vec![Pending::default(); len],
-                    inboxes: (0..len).map(|_| VecDeque::new()).collect(),
+                    depth: AlignedU32s::with_len(len, 0),
                     rngs: (0..len)
                         .map(|local| SmallRng::seed_from_u64(node_stream_seed(seed, base + local)))
                         .collect(),
@@ -1120,6 +1165,7 @@ impl ShardedEngine {
                     counts,
                     calendar: Calendar::new(),
                     outboxes: (0..lane_count).map(|_| Vec::new()).collect(),
+                    inbound: (0..lane_count).map(|_| Vec::new()).collect(),
                     rm: RoundMetrics::default(),
                     max_queue_depth: 0,
                 }
@@ -1198,6 +1244,12 @@ impl ShardedEngine {
         }
     }
 
+    /// Messages waiting in `node`'s inbox.
+    pub(crate) fn depth_of(&self, node: usize) -> usize {
+        let lane = &self.lanes[self.map.shard_of(node)];
+        lane.depth[node - lane.base as usize] as usize
+    }
+
     /// The deepest any inbox has ever been.
     pub(crate) fn max_queue_depth(&self) -> usize {
         self.lanes
@@ -1216,49 +1268,75 @@ impl ShardedEngine {
             .min()
     }
 
+    /// Whether per-lane work of `work` items is worth fanning out on
+    /// the worker pool: more than one lane, more than one thread, and
+    /// at least the density threshold. Below it the fan-out costs more
+    /// than it saves (and spawning the pool would cost resident memory
+    /// in small runs that never need it).
+    fn fans_out(&self, work: usize, tuning: &ExecTuning) -> bool {
+        self.lanes.len() > 1 && tuning.threads > 1 && work >= tuning.parallel_threshold
+    }
+
+    /// Runs `job` on every lane: on the persistent worker pool (spawned
+    /// on first use) when `parallel`, in-thread otherwise. Each job
+    /// touches only its own lane, so the two paths give identical
+    /// results.
+    fn for_each_lane(
+        &mut self,
+        parallel: bool,
+        tuning: &ExecTuning,
+        job: impl Fn(&mut ShardLane) + Send + Sync + 'static,
+    ) {
+        if !parallel {
+            self.lanes.iter_mut().for_each(job);
+            return;
+        }
+        // `tuning.threads` arrives already resolved by `tick` — never
+        // 0 — so no OS query happens on the per-block path.
+        let pool = Arc::clone(
+            self.pool
+                .get_or_insert_with(|| Arc::new(WorkerPool::new(tuning.threads))),
+        );
+        let lanes = std::mem::take(&mut self.lanes);
+        self.lanes = pool.map(lanes, move |mut lane| {
+            job(&mut lane);
+            lane
+        });
+    }
+
     /// Runs one K-window lookahead block `[start, block_end)` on every
-    /// lane — on the persistent worker pool when dense, in-thread when
-    /// sparse (identical results either way) — then drains the
-    /// cross-shard mailboxes into the destination calendars at the
-    /// barrier.
+    /// lane, then hands the cross-shard mail over at the barrier — both
+    /// phases on the worker pool when the block is dense, in-thread
+    /// when it is sparse (identical results either way).
     fn run_block(&mut self, start: u64, block_end: u64, ctx: &Arc<Ctx>, tuning: &ExecTuning) {
         let due: usize = self.lanes.iter().map(|l| l.due_in(start, block_end)).sum();
         if due == 0 {
             return;
         }
-        // `tuning.threads` arrives already resolved by `tick` —
-        // never 0 — so no OS query happens on the per-block path.
-        let threads = tuning.threads;
-        if self.lanes.len() > 1 && threads > 1 && due >= tuning.parallel_threshold {
-            let pool = Arc::clone(
-                self.pool
-                    .get_or_insert_with(|| Arc::new(WorkerPool::new(threads))),
-            );
-            let lanes = std::mem::take(&mut self.lanes);
-            let cx = Arc::clone(ctx);
-            self.lanes = pool.map(lanes, move |mut lane| {
-                lane.run_block(start, block_end, &cx);
-                lane
-            });
-        } else {
-            for lane in &mut self.lanes {
-                lane.run_block(start, block_end, ctx);
-            }
-        }
-        // Block barrier: hand cross-shard events over. Bucket order
-        // does not matter — `take_due` re-sorts by `(src, seq)` — so
-        // the drain order is free to be whatever is cheapest.
-        for src in 0..self.lanes.len() {
-            for dst in 0..self.lanes.len() {
+        let parallel = self.fans_out(due, tuning);
+        let cx = Arc::clone(ctx);
+        self.for_each_lane(parallel, tuning, move |lane| {
+            lane.run_block(start, block_end, &cx);
+        });
+        // Block barrier: swap every non-empty outbox into its
+        // destination's inbound slot (pointer swaps only; the empty
+        // buffer coming back is the sender's next outbox), then let
+        // each destination lane pour its own mail into its calendar.
+        let lanes = self.lanes.len();
+        let mut any = false;
+        for src in 0..lanes {
+            for dst in 0..lanes {
                 if src == dst || self.lanes[src].outboxes[dst].is_empty() {
                     continue;
                 }
-                let mut moved = std::mem::take(&mut self.lanes[src].outboxes[dst]);
-                for entry in moved.drain(..) {
-                    self.lanes[dst].calendar.push(entry);
-                }
-                self.lanes[src].outboxes[dst] = moved;
+                any = true;
+                let mail = std::mem::take(&mut self.lanes[src].outboxes[dst]);
+                let spare = std::mem::replace(&mut self.lanes[dst].inbound[src], mail);
+                self.lanes[src].outboxes[dst] = spare;
             }
+        }
+        if any {
+            self.for_each_lane(parallel, tuning, ShardLane::absorb_inbound);
         }
     }
 
@@ -1346,9 +1424,10 @@ impl ShardedEngine {
     }
 
     /// Recomputes lane boundaries to even out *present* nodes and
-    /// migrates each moving node's full state — commitment, inbox,
-    /// local epoch, RNG stream, incarnation, and pending calendar
-    /// entries — to its new owner. Runs only between ticks, where
+    /// migrates each moving node's full state — commitment, inbox
+    /// depth, local epoch, RNG stream, incarnation, and pending
+    /// calendar entries (queued mail rides in its `Deliver` entry) —
+    /// to its new owner. Runs only between ticks, where
     /// cross-shard outboxes are provably empty, so nothing is in
     /// flight mid-move; per-node RNG streams and intrinsic event keys
     /// make the new partition produce byte-identical results.
@@ -1367,7 +1446,7 @@ impl ShardedEngine {
         let mut epochs: Vec<u64> = Vec::with_capacity(n);
         let mut last_wake: Vec<u64> = Vec::with_capacity(n);
         let mut pending = Vec::with_capacity(n);
-        let mut inboxes = Vec::with_capacity(n);
+        let mut depth: Vec<u32> = Vec::with_capacity(n);
         let mut rngs = Vec::with_capacity(n);
         let mut seqs: Vec<u32> = Vec::with_capacity(n);
         let mut incs: Vec<u32> = Vec::with_capacity(n);
@@ -1378,7 +1457,7 @@ impl ShardedEngine {
         // re-chunk on the collect below.
         for mut lane in std::mem::take(&mut self.lanes) {
             debug_assert!(
-                lane.outboxes.iter().all(Vec::is_empty),
+                lane.outboxes.iter().chain(&lane.inbound).all(Vec::is_empty),
                 "rebalance crossed a window with undelivered mail"
             );
             entries.append(&mut lane.calendar.drain_all());
@@ -1387,7 +1466,7 @@ impl ShardedEngine {
             epochs.extend(lane.epochs.drain_all());
             last_wake.extend(lane.last_wake.drain_all());
             pending.append(&mut lane.pending);
-            inboxes.append(&mut lane.inboxes);
+            depth.extend(lane.depth.drain_all());
             rngs.append(&mut lane.rngs);
             seqs.extend(lane.seqs.drain_all());
             incs.extend(lane.incs.drain_all());
@@ -1398,7 +1477,7 @@ impl ShardedEngine {
         let mut epochs = epochs.into_iter();
         let mut last_wake = last_wake.into_iter();
         let mut pending = pending.into_iter();
-        let mut inboxes = inboxes.into_iter();
+        let mut depth = depth.into_iter();
         let mut rngs = rngs.into_iter();
         let mut seqs = seqs.into_iter();
         let mut incs = incs.into_iter();
@@ -1424,7 +1503,7 @@ impl ShardedEngine {
                     epochs: epochs.by_ref().take(len).collect(),
                     last_wake: last_wake.by_ref().take(len).collect(),
                     pending: pending.by_ref().take(len).collect(),
-                    inboxes: inboxes.by_ref().take(len).collect(),
+                    depth: depth.by_ref().take(len).collect(),
                     rngs: rngs.by_ref().take(len).collect(),
                     seqs: seqs.by_ref().take(len).collect(),
                     incs: incs.by_ref().take(len).collect(),
@@ -1433,6 +1512,7 @@ impl ShardedEngine {
                     counts,
                     calendar: Calendar::new(),
                     outboxes: (0..lane_count).map(|_| Vec::new()).collect(),
+                    inbound: (0..lane_count).map(|_| Vec::new()).collect(),
                     rm: RoundMetrics::default(),
                     max_queue_depth: 0,
                 }
@@ -1470,9 +1550,12 @@ impl ShardedEngine {
         members: &MembershipTracker,
         tuning: &ExecTuning,
     ) -> RoundMetrics {
-        for lane in &mut self.lanes {
-            lane.begin_epoch(ctx);
-        }
+        // The epoch reset touches every node, so it fans out on the
+        // same density gate as a block, with the fleet size as its
+        // work count.
+        let parallel = self.fans_out(ctx.n, tuning);
+        let cx = Arc::clone(ctx);
+        self.for_each_lane(parallel, tuning, move |lane| lane.begin_epoch(&cx));
         let mut cursor = 0u64;
         while let Some(w) = self.next_window(cursor) {
             let block_end = block_end_of(w, tuning.lookahead);

@@ -3,15 +3,17 @@
 //! scheduler instead of a global round barrier.
 //!
 //! Every message (query out, reply back) is a scheduled event with its
-//! own latency jitter, and every node owns a **bounded FIFO inbox**:
-//! a message arriving at a full queue is dropped (backpressure), and a
-//! query that never produces a reply — lost on the link, addressed to
-//! a crashed, departed, or sat-out peer, or squeezed out of a queue —
-//! is recovered by a timeout-driven retry against a fresh peer, up to
-//! [`MAX_QUERY_RETRIES`] attempts before the uniform fallback. This is
-//! the transport behavior a round-synchronous barrier hides, and the
-//! bridge toward fully asynchronous bounded-memory collaborative
-//! learning (Su–Zubeldia–Lynch, arXiv:1802.08159).
+//! own latency jitter, and every node owns a **bounded inbox**: a
+//! depth counter, with each accepted message riding in its own
+//! `Deliver` event. A message arriving at a full queue is dropped
+//! (backpressure), and a query that never produces a reply — lost on
+//! the link, addressed to a crashed, departed, or sat-out peer, or
+//! squeezed out of a queue — is recovered by a timeout-driven retry
+//! against a fresh peer, up to [`MAX_QUERY_RETRIES`] attempts before
+//! the uniform fallback. This is the transport behavior a
+//! round-synchronous barrier hides, and the bridge toward fully
+//! asynchronous bounded-memory collaborative learning
+//! (Su–Zubeldia–Lynch, arXiv:1802.08159).
 //!
 //! Membership churn (scripted joins, leaves, and rejoins from the
 //! [`crate::FaultPlan`]) runs through the same machinery: an absent
@@ -61,7 +63,7 @@
 //! previous commitment), kept so a node can answer queries about the
 //! epoch a slower or faster peer is still working on.
 
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -74,8 +76,8 @@ use crate::{
     RoundMetrics, Transition, MAX_QUERY_RETRIES, NO_CHOICE,
 };
 
-/// Default capacity of each node's FIFO inbox. Messages arriving at a
-/// full inbox are dropped and counted in
+/// Default capacity of each node's inbox. Messages arriving at a full
+/// inbox are dropped and counted in
 /// [`RoundMetrics::queue_drops`].
 pub const DEFAULT_QUEUE_BOUND: usize = 32;
 
@@ -84,7 +86,7 @@ pub const DEFAULT_QUEUE_BOUND: usize = 32;
 pub const MAX_MESSAGE_LATENCY: u64 = 8;
 
 /// Ticks between a message landing in an inbox and the owner
-/// processing it.
+/// processing it — the delay of its `Deliver` event.
 pub(crate) const DELIVER_DELAY: u64 = 1;
 
 /// Window over which alive nodes' wake-ups are jittered at the start
@@ -182,8 +184,18 @@ pub(crate) enum Event {
     QueryArrive { from: u32, to: u32, epoch: u64 },
     /// A reply carrying `option` reaches `node`'s inbox.
     ReplyArrive { node: u32, option: u32 },
-    /// `node` processes the message at the head of its inbox.
-    Deliver { node: u32 },
+    /// `node` processes the query from `from` that its inbox accepted
+    /// one [`DELIVER_DELAY`] earlier.
+    ///
+    /// The message rides in the event instead of a per-node FIFO: a
+    /// node schedules its own deliveries at `now + DELIVER_DELAY` with
+    /// increasing sequence numbers, so both the heap's `(at, seq)`
+    /// order and the calendar's `(at, src, seq)` order pop a node's
+    /// k-th delivery exactly when a FIFO would pop its k-th message.
+    DeliverQuery { node: u32, from: u32, epoch: u64 },
+    /// `node` processes a reply carrying `option` (see
+    /// [`Event::DeliverQuery`]).
+    DeliverReply { node: u32, option: u32 },
     /// `node`'s query `attempt` has waited long enough; retry or fall
     /// back unless a reply already resolved it. `epoch` pins the
     /// timeout to the local epoch that issued the attempt, so a stale
@@ -191,6 +203,10 @@ pub(crate) enum Event {
     /// where the heap is never cleared) cannot fire spuriously.
     Timeout { node: u32, attempt: u32, epoch: u64 },
 }
+
+// A message travels inside its scheduler event; carrying one must not
+// widen the heap entry or the calendar entry.
+const _: () = assert!(std::mem::size_of::<Event>() <= 24);
 
 /// A heap entry: events fire in `(at, seq)` order, so simultaneous
 /// events resolve in the deterministic order they were scheduled.
@@ -214,17 +230,6 @@ impl PartialOrd for Scheduled {
     }
 }
 
-/// A message sitting in a node's inbox.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Msg {
-    /// "What option did you use last epoch?" — tagged with the
-    /// querier's local epoch at send time (the async staleness
-    /// reference; quiesced mode ignores it).
-    Query { from: u32, epoch: u64 },
-    /// "I used `option`."
-    Reply { option: u32 },
-}
-
 /// Per-node transport bookkeeping for the current epoch. This is
 /// scheduler state, not protocol state: the node's *protocol* memory
 /// is still just its committed option ([`crate::NODE_STATE_BYTES`]).
@@ -241,25 +246,24 @@ pub(crate) struct Pending {
 /// current commitment, the one-slot history `back` that answers
 /// epoch-nearest queries, and the local epoch counter that tags
 /// outgoing queries in async mode. Everything else per node — the
-/// pending-query slot, the bounded inbox, the wake anchor, the
-/// incarnation tag — is scheduler/transport bookkeeping with its own
-/// constant bounds, not protocol state.
+/// pending-query slot, the inbox (a bounded depth counter; messages
+/// ride in their `Deliver` event), the wake anchor, the incarnation
+/// tag — is scheduler/transport bookkeeping with its own constant
+/// bounds, not protocol state.
 pub const EVENT_NODE_STATE_BYTES: usize =
     2 * std::mem::size_of::<NodeState>() + std::mem::size_of::<u64>();
 
 // Compile-time bounded-memory budget: the event runtime's per-node
-// protocol state stays within 4× the advertised NODE_STATE_BYTES, a
-// message never carries more than one commitment plus its epoch tag,
-// and the transport bookkeeping stays flat. Renegotiate here, not by
+// protocol state stays within 4× the advertised NODE_STATE_BYTES, and
+// the transport bookkeeping stays flat. Renegotiate here, not by
 // silently growing a struct.
 const _: () = assert!(EVENT_NODE_STATE_BYTES <= 4 * crate::NODE_STATE_BYTES);
-const _: () = assert!(std::mem::size_of::<Msg>() <= 4 * crate::NODE_STATE_BYTES);
 const _: () = assert!(std::mem::size_of::<Pending>() <= 2 * crate::NODE_STATE_BYTES);
 
 /// The event-driven message-passing runtime: `N` nodes of
 /// [`crate::NODE_STATE_BYTES`] protocol state each, exchanging
 /// query/reply gossip through a seeded discrete-event scheduler with
-/// per-message latency jitter, bounded FIFO inboxes, and
+/// per-message latency jitter, bounded inboxes, and
 /// timeout-driven retries, with faults injected per the configured
 /// [`crate::FaultPlan`].
 ///
@@ -334,8 +338,9 @@ pub struct EventRuntime {
     /// The event queue, keyed by `(virtual time, sequence)`. Reused
     /// across epochs.
     heap: BinaryHeap<Scheduled>,
-    /// Per-node bounded FIFO inboxes. Reused across epochs.
-    inboxes: Vec<VecDeque<Msg>>,
+    /// Per-node inbox depth: messages accepted and not yet delivered.
+    /// The messages themselves ride in their `Deliver` events.
+    depth: Vec<u32>,
     /// Per-node transport bookkeeping for the current epoch.
     pending: Vec<Pending>,
     /// Per-node incarnation counters, bumped on every leave (async
@@ -397,7 +402,7 @@ impl EventRuntime {
             last_wake: vec![0; n],
             async_clock: 0,
             heap: BinaryHeap::new(),
-            inboxes: (0..n).map(|_| VecDeque::new()).collect(),
+            depth: vec![0; n],
             pending: vec![Pending::default(); n],
             incs: vec![0; n],
             boot: vec![false; n],
@@ -477,7 +482,7 @@ impl EventRuntime {
                 self.incs = vec![0; n];
                 self.boot = vec![false; n];
                 self.boot_count = 0;
-                self.inboxes = (0..n).map(|_| VecDeque::new()).collect();
+                self.depth = vec![0; n];
                 None
             }
             SchedulerKind::ShardedCalendar { shards } => {
@@ -494,7 +499,7 @@ impl EventRuntime {
                 self.incs = Vec::new();
                 self.boot = Vec::new();
                 self.boot_count = 0;
-                self.inboxes = Vec::new();
+                self.depth = Vec::new();
                 self.heap = BinaryHeap::new();
                 Some(Box::new(ShardedEngine::new(
                     &self.cfg,
@@ -659,6 +664,23 @@ impl EventRuntime {
         self.max_queue_depth
     }
 
+    /// Messages waiting in `node`'s inbox: accepted, and their
+    /// `Deliver` event not yet processed. Between ticks this is 0 for
+    /// every node in quiesced mode; in async mode mail accepted in a
+    /// tick's last time step is delivered in the next tick, even to a
+    /// node that has left by then.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node >= num_nodes()`.
+    pub fn inbox_depth(&self, node: usize) -> usize {
+        assert!(node < self.cfg.num_nodes(), "node out of range");
+        match &self.sharded {
+            None => self.depth[node] as usize,
+            Some(engine) => engine.depth_of(node),
+        }
+    }
+
     /// Whether the scheduler runs fully-async overlapping epochs.
     pub fn is_async(&self) -> bool {
         matches!(self.mode, Mode::Async(_))
@@ -734,17 +756,25 @@ impl EventRuntime {
         p > 0.0 && self.rng.gen_bool(p)
     }
 
-    /// Offers `msg` to `node`'s bounded inbox; on success schedules
-    /// the matching `Deliver`, on overflow drops it (backpressure).
-    fn enqueue(&mut self, node: u32, msg: Msg, now: u64, rm: &mut RoundMetrics) {
-        let inbox = &mut self.inboxes[node as usize];
-        if inbox.len() >= self.queue_bound {
+    /// Offers `node` a message; `deliver` is its `Deliver` event. On
+    /// success the inbox grows by one and the event is scheduled, on
+    /// overflow the message is dropped (backpressure).
+    fn enqueue(&mut self, node: u32, deliver: Event, now: u64, rm: &mut RoundMetrics) {
+        let depth = &mut self.depth[node as usize];
+        if *depth as usize >= self.queue_bound {
             rm.queue_drops += 1;
             return;
         }
-        inbox.push_back(msg);
-        self.max_queue_depth = self.max_queue_depth.max(inbox.len());
-        self.push(now + DELIVER_DELAY, Event::Deliver { node });
+        *depth += 1;
+        self.max_queue_depth = self.max_queue_depth.max(*depth as usize);
+        self.push(now + DELIVER_DELAY, deliver);
+    }
+
+    /// Takes one delivered message off `node`'s inbox.
+    fn dequeue(&mut self, node: u32) {
+        let depth = &mut self.depth[node as usize];
+        debug_assert!(*depth > 0, "delivery without a queued message");
+        *depth -= 1;
     }
 
     /// Resolves node `i`'s stage 1 with `considered` and runs stage 2
@@ -826,34 +856,30 @@ impl EventRuntime {
         }
     }
 
-    /// `node` pops and handles the head of its inbox.
-    fn deliver(&mut self, node: u32, now: u64, rewards: &[bool], rm: &mut RoundMetrics) {
-        let i = node as usize;
-        let Some(msg) = self.inboxes[i].pop_front() else {
-            return;
-        };
-        match msg {
-            Msg::Query { from, epoch: _ } => {
-                // Answer with the option committed last epoch; a node
-                // that sat out stays silent and the querier's timeout
-                // drives the retry.
-                let option = self.back[i];
-                if option != NO_CHOICE && !self.link_drops() {
-                    let at = now + self.latency();
-                    self.push(at, Event::ReplyArrive { node: from, option });
-                }
-            }
-            Msg::Reply { option } => {
-                if self.pending[i].resolved {
-                    // A late duplicate (cannot normally happen: the
-                    // timeout window exceeds the worst-case round
-                    // trip), ignored for safety.
-                    return;
-                }
-                rm.replies_received += 1;
-                self.decide(node, option, rewards, rm);
-            }
+    /// `node` handles the query from `from` its inbox just delivered.
+    fn deliver_query(&mut self, node: u32, from: u32, now: u64) {
+        self.dequeue(node);
+        // Answer with the option committed last epoch; a node that sat
+        // out stays silent and the querier's timeout drives the retry.
+        let option = self.back[node as usize];
+        if option != NO_CHOICE && !self.link_drops() {
+            let at = now + self.latency();
+            self.push(at, Event::ReplyArrive { node: from, option });
         }
+    }
+
+    /// `node` handles the reply carrying `option` its inbox just
+    /// delivered.
+    fn deliver_reply(&mut self, node: u32, option: u32, rewards: &[bool], rm: &mut RoundMetrics) {
+        self.dequeue(node);
+        if self.pending[node as usize].resolved {
+            // A late duplicate (cannot normally happen: the timeout
+            // window exceeds the worst-case round trip), ignored for
+            // safety.
+            return;
+        }
+        rm.replies_received += 1;
+        self.decide(node, option, rewards, rm);
     }
 
     /// Executes one scheduler round against the fresh reward signals,
@@ -932,9 +958,7 @@ impl EventRuntime {
         self.counts.fill(0);
         self.heap.clear();
         self.seq = 0;
-        for inbox in &mut self.inboxes {
-            inbox.clear();
-        }
+        self.depth.fill(0);
 
         // Membership transitions land at the epoch boundary. With the
         // barrier, every (re)join bootstraps and resolves within this
@@ -985,13 +1009,21 @@ impl EventRuntime {
                     // An absent peer (crashed or departed) swallows the
                     // query; the querier's timeout drives the retry.
                     if self.members.is_present(to as usize) {
-                        self.enqueue(to, Msg::Query { from, epoch }, at, &mut rm);
+                        let deliver = Event::DeliverQuery {
+                            node: to,
+                            from,
+                            epoch,
+                        };
+                        self.enqueue(to, deliver, at, &mut rm);
                     }
                 }
                 Event::ReplyArrive { node, option } => {
-                    self.enqueue(node, Msg::Reply { option }, at, &mut rm);
+                    self.enqueue(node, Event::DeliverReply { node, option }, at, &mut rm);
                 }
-                Event::Deliver { node } => self.deliver(node, at, rewards, &mut rm),
+                Event::DeliverQuery { node, from, .. } => self.deliver_query(node, from, at),
+                Event::DeliverReply { node, option } => {
+                    self.deliver_reply(node, option, rewards, &mut rm);
+                }
                 Event::Timeout {
                     node,
                     attempt,
@@ -1144,66 +1176,70 @@ impl EventRuntime {
         }
     }
 
-    /// Async counterpart of [`deliver`](EventRuntime::deliver): peers
-    /// answer from their *latest* commitment (there is no previous-
-    /// epoch snapshot without a barrier), and a responder whose
-    /// information is staler than the bound withholds its reply.
-    fn deliver_async(
+    /// Async counterpart of [`deliver_query`](EventRuntime::deliver_query):
+    /// peers answer from their *latest* commitment (there is no
+    /// previous-epoch snapshot without a barrier), and a responder
+    /// whose information is staler than the bound withholds its reply.
+    fn deliver_query_async(
         &mut self,
         node: u32,
+        from: u32,
+        epoch: u64,
         now: u64,
-        rewards: &[bool],
         rm: &mut RoundMetrics,
         bound: StalenessBound,
     ) {
+        self.dequeue(node);
         let i = node as usize;
-        let Some(msg) = self.inboxes[i].pop_front() else {
-            return;
+        // The querier at local epoch `e` would, under synchronized
+        // execution, copy information committed at epoch `e - 1`.
+        // Serve the snapshot nearest that epoch: the latest commitment
+        // if the responder is at or behind the requested epoch
+        // (staleness = the gap), else the one-slot history (a
+        // responder that already completed the requested epoch still
+        // holds what it committed then; one that raced further ahead
+        // serves the oldest it has — fresher than asked, never stale).
+        // Withhold the reply when the served information is staler
+        // than the bound, and let the querier's timeout drive its
+        // retry.
+        let want = epoch.saturating_sub(1);
+        let r = self.epochs[i];
+        let (option, stale) = if want >= r {
+            (self.choices[i], want - r)
+        } else {
+            (self.back[i], 0)
         };
-        match msg {
-            Msg::Query { from, epoch } => {
-                // The querier at local epoch `e` would, under
-                // synchronized execution, copy information committed
-                // at epoch `e - 1`. Serve the snapshot nearest that
-                // epoch: the latest commitment if the responder is at
-                // or behind the requested epoch (staleness = the gap),
-                // else the one-slot history (a responder that already
-                // completed the requested epoch still holds what it
-                // committed then; one that raced further ahead serves
-                // the oldest it has — fresher than asked, never
-                // stale). Withhold the reply when the served
-                // information is staler than the bound, and let the
-                // querier's timeout drive its retry.
-                let want = epoch.saturating_sub(1);
-                let r = self.epochs[i];
-                let (option, stale) = if want >= r {
-                    (self.choices[i], want - r)
-                } else {
-                    (self.back[i], 0)
-                };
-                // Nothing to report after sitting that epoch out.
-                if option == NO_CHOICE {
-                    return;
-                }
-                if !bound.allows(stale) {
-                    rm.stale_replies += 1;
-                    return;
-                }
-                if !self.link_drops() {
-                    let at = now + self.latency();
-                    self.push(at, Event::ReplyArrive { node: from, option });
-                }
-            }
-            Msg::Reply { option } => {
-                if self.pending[i].resolved {
-                    // A late duplicate (cannot normally happen: a
-                    // delivered reply always beats its timeout).
-                    return;
-                }
-                rm.replies_received += 1;
-                self.decide_async(node, option, now, rewards, rm);
-            }
+        // Nothing to report after sitting that epoch out.
+        if option == NO_CHOICE {
+            return;
         }
+        if !bound.allows(stale) {
+            rm.stale_replies += 1;
+            return;
+        }
+        if !self.link_drops() {
+            let at = now + self.latency();
+            self.push(at, Event::ReplyArrive { node: from, option });
+        }
+    }
+
+    /// Async counterpart of [`deliver_reply`](EventRuntime::deliver_reply).
+    fn deliver_reply_async(
+        &mut self,
+        node: u32,
+        option: u32,
+        now: u64,
+        rewards: &[bool],
+        rm: &mut RoundMetrics,
+    ) {
+        self.dequeue(node);
+        if self.pending[node as usize].resolved {
+            // A late duplicate (cannot normally happen: a delivered
+            // reply always beats its timeout).
+            return;
+        }
+        rm.replies_received += 1;
+        self.decide_async(node, option, now, rewards, rm);
     }
 
     /// One fully-async tick: advance the scheduler through exactly one
@@ -1324,22 +1360,32 @@ impl EventRuntime {
                 }
                 Event::QueryArrive { from, to, epoch } => {
                     if self.members.is_present(to as usize) {
-                        self.enqueue(to, Msg::Query { from, epoch }, at, &mut rm);
+                        let deliver = Event::DeliverQuery {
+                            node: to,
+                            from,
+                            epoch,
+                        };
+                        self.enqueue(to, deliver, at, &mut rm);
                     }
                 }
                 Event::ReplyArrive { node, option } => {
                     if self.members.is_present(node as usize) {
-                        self.enqueue(node, Msg::Reply { option }, at, &mut rm);
+                        self.enqueue(node, Event::DeliverReply { node, option }, at, &mut rm);
                     }
                 }
-                Event::Deliver { node } => {
-                    if self.members.is_present(node as usize) {
-                        self.deliver_async(node, at, rewards, &mut rm, bound);
-                    } else {
-                        // Keep deliveries 1:1 with enqueues even for
-                        // the dead.
-                        self.inboxes[node as usize].pop_front();
-                    }
+                // Mail already in the inbox of a node that has since
+                // left or crashed is consumed unread, keeping
+                // deliveries 1:1 with enqueues even for the dead.
+                Event::DeliverQuery { node, .. } | Event::DeliverReply { node, .. }
+                    if !self.members.is_present(node as usize) =>
+                {
+                    self.dequeue(node);
+                }
+                Event::DeliverQuery { node, from, epoch } => {
+                    self.deliver_query_async(node, from, epoch, at, &mut rm, bound);
+                }
+                Event::DeliverReply { node, option } => {
+                    self.deliver_reply_async(node, option, at, rewards, &mut rm);
                 }
                 Event::Timeout {
                     node,

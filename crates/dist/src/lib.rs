@@ -53,8 +53,9 @@
 //!   deltas. Use it for law-level experiments and for raw throughput.
 //! * [`EventRuntime`] — **epoch-quiesced event-driven** (the default):
 //!   a seeded discrete-event scheduler delivers query/reply messages
-//!   with per-message latency jitter through bounded per-node FIFO
-//!   queues; lost messages and unanswered queries are recovered by
+//!   with per-message latency jitter through bounded per-node inboxes
+//!   (a bounded depth counter; messages ride in their `Deliver`
+//!   event); lost messages and unanswered queries are recovered by
 //!   timeout-driven retries, and each epoch runs to quiescence before
 //!   the next begins. Use it to model transport behavior — latency,
 //!   queue backpressure — that a global barrier hides.

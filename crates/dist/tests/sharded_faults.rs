@@ -239,3 +239,91 @@ fn sharded_message_bound_holds_per_epoch() {
         assert!(rm.queries_sent <= 2 * sociolearn_dist::MAX_QUERY_RETRIES as u64 * 48);
     }
 }
+
+/// Every fourth node leaves at round `8 + (i/4) % 12` and rejoins
+/// three rounds later — late enough that retries under loss have
+/// spread the fleet's wake phases across the epoch period, so some
+/// leavers still have mail queued at the boundary.
+fn staggered_leave_round(node: usize) -> Option<u64> {
+    node.is_multiple_of(4).then(|| 8 + (node as u64 / 4) % 12)
+}
+
+fn staggered_leaves(n: usize) -> FaultPlan {
+    let mut plan = FaultPlan::with_drop_prob(0.3).unwrap();
+    for node in 0..n {
+        if let Some(round) = staggered_leave_round(node) {
+            plan = plan.leave(node, round).rejoin(node, round + 3);
+        }
+    }
+    plan
+}
+
+fn present_in(node: usize, round: u64) -> bool {
+    staggered_leave_round(node).is_none_or(|leave| !(leave..leave + 3).contains(&round))
+}
+
+#[test]
+fn mail_in_flight_to_a_departing_node_is_consumed_one_for_one() {
+    // In async mode a message accepted in a tick's last time step is
+    // delivered in the next tick. When its addressee leaves at that
+    // tick boundary the delivery still fires, unread, and takes the
+    // message off the inbox: a departed node's depth is back to 0
+    // after its first absent tick, the same on every scheduler, and
+    // the counters agree across shard and thread counts.
+    const N: usize = 960;
+    const TICKS: u64 = 24;
+    let drive = |kind: SchedulerKind, threads: usize| {
+        let mut net = EventRuntime::new(
+            DistConfig::new(params(), N).with_faults(staggered_leaves(N)),
+            29,
+        )
+        .with_async_epochs(StalenessBound::Epochs(1))
+        .with_queue_bound(2)
+        .with_scheduler(kind)
+        .with_threads(threads)
+        .with_parallel_threshold(0);
+        let mut trace = Vec::new();
+        let mut left_with_mail = 0;
+        for t in 1..=TICKS {
+            // Mail still queued at a node about to leave: the case
+            // under test.
+            left_with_mail += (0..N)
+                .filter(|&i| present_in(i, t - 1) && !present_in(i, t) && net.inbox_depth(i) > 0)
+                .count();
+            let rm = net.tick(&[t % 2 == 0, t % 3 == 0]);
+            for i in 0..N {
+                assert!(net.inbox_depth(i) <= 2, "{kind}: node {i} over the bound");
+                if !present_in(i, t) {
+                    assert_eq!(
+                        net.inbox_depth(i),
+                        0,
+                        "{kind}: absent node {i} kept mail at tick {t}"
+                    );
+                }
+            }
+            trace.push((rm.queue_drops, net.counts().to_vec()));
+        }
+        (trace, left_with_mail)
+    };
+    let (_, single_left) = drive(SchedulerKind::SingleHeap, 1);
+    assert!(
+        single_left > 0,
+        "no node left with mail queued (single heap)"
+    );
+    let (base, left) = drive(SchedulerKind::ShardedCalendar { shards: 1 }, 1);
+    assert!(left > 0, "no node left with mail queued (sharded)");
+    assert!(
+        base.iter().any(|(drops, _)| *drops > 0),
+        "queue bound 2 never overflowed"
+    );
+    for shards in [3usize, 8] {
+        for threads in [1usize, test_threads()] {
+            let kind = SchedulerKind::ShardedCalendar { shards };
+            assert_eq!(
+                drive(kind, threads),
+                (base.clone(), left),
+                "{kind} threads={threads}"
+            );
+        }
+    }
+}

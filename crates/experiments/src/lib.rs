@@ -2,9 +2,9 @@
 //!
 //! The reproduction suite: every theorem, lemma, proposition, ablation
 //! claim and future-work direction in the paper becomes a numbered
-//! experiment that regenerates the corresponding table/figure. See
-//! `DESIGN.md` §4 for the experiment ↔ claim index and
-//! `EXPERIMENTS.md` for recorded results.
+//! experiment that regenerates the corresponding table/figure. See the
+//! README's "The E1–E19 reproduction suite" section for the
+//! experiment ↔ claim index; `all --out <dir>` records the results.
 //!
 //! Run from the workspace root:
 //!

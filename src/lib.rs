@@ -53,8 +53,8 @@
 //! # Ok::<(), sociolearn::core::ParamsError>(())
 //! ```
 //!
-//! See `examples/` for runnable scenarios and `DESIGN.md` /
-//! `EXPERIMENTS.md` for the reproduction index.
+//! See `examples/` for runnable scenarios and the README's "The E1–E19
+//! reproduction suite" section for the reproduction index.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
