@@ -33,7 +33,9 @@
 //! into blocks of K windows at absolute multiples of K, each lane
 //! processes a whole block from its own calendar with **no**
 //! cross-shard synchronization inside it, and the per-shard-pair
-//! mailboxes are drained once at the block barrier. What makes that
+//! mailboxes are handed over once at the block barrier (each lane
+//! pours its mail into its calendar at the start of its next block,
+//! on its own thread). What makes that
 //! sound is a *message due-time adjustment*: a message sent at `now`
 //! with latency `l` becomes due at `max(now + l, block_end(now))` —
 //! never inside the sender's current block. The adjustment applies to
@@ -561,6 +563,68 @@ pub(crate) const SHARD_LANE_NODE_STATE_BYTES: usize = 2 * std::mem::size_of::<No
 // mirroring `EVENT_NODE_STATE_BYTES` in `event.rs`.
 const _: () = assert!(SHARD_LANE_NODE_STATE_BYTES <= 6 * crate::NODE_STATE_BYTES);
 
+/// What a lane mailed to its peers during its last block: a count per
+/// ring slot over the span `[lo, hi]` of arrival times. The engine
+/// reads it between blocks to find the next window and size the next
+/// block while the mail itself still waits in the peers' inbound
+/// slots, so the mail is poured in by the next block's lane jobs
+/// rather than by a pool hand-off of its own.
+#[derive(Debug, Clone)]
+struct Posted {
+    counts: [u32; RING_SLOTS],
+    lo: u64,
+    hi: u64,
+}
+
+impl Posted {
+    fn new() -> Self {
+        Posted {
+            counts: [0; RING_SLOTS],
+            lo: u64::MAX,
+            hi: 0,
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.lo == u64::MAX
+    }
+
+    /// Books one entry arriving at `at`.
+    fn note(&mut self, at: u64) {
+        self.counts[(at as usize) & (RING_SLOTS - 1)] += 1;
+        self.lo = self.lo.min(at);
+        self.hi = self.hi.max(at);
+    }
+
+    /// The earliest arrival time booked, if any.
+    fn first(&self) -> Option<u64> {
+        (!self.is_empty()).then_some(self.lo)
+    }
+
+    /// Entries booked within `[from, to)`. The span covers less than
+    /// one ring rotation, so clamping to it rules out aliasing.
+    fn due_in(&self, from: u64, to: u64) -> usize {
+        if self.is_empty() {
+            return 0;
+        }
+        (from.max(self.lo)..to.min(self.hi + 1))
+            .map(|t| self.counts[(t as usize) & (RING_SLOTS - 1)] as usize)
+            .sum()
+    }
+
+    fn clear(&mut self) {
+        if self.is_empty() {
+            return;
+        }
+        debug_assert!(self.hi - self.lo < RING_SLOTS as u64);
+        for t in self.lo..=self.hi {
+            self.counts[(t as usize) & (RING_SLOTS - 1)] = 0;
+        }
+        self.lo = u64::MAX;
+        self.hi = 0;
+    }
+}
+
 /// One shard: the full per-node state of a contiguous node range, its
 /// calendar, and one outbound mailbox per peer shard.
 ///
@@ -602,10 +666,12 @@ struct ShardLane {
     outboxes: Vec<Vec<Entry<Event>>>,
     /// Per-source-shard mailboxes: at the block barrier each peer's
     /// outbox for this lane is swapped in here, and the lane pours
-    /// them into its own calendar (the emptied buffers swap back out
-    /// as the peers' next outboxes, so steady state allocates
-    /// nothing).
+    /// them into its own calendar at the start of its next job (the
+    /// emptied buffers swap back out as the peers' next outboxes, so
+    /// steady state allocates nothing).
     inbound: Vec<Vec<Entry<Event>>>,
+    /// What this lane's outboxes received during its last block.
+    posted: Posted,
     /// This tick's counter contributions (summed across lanes).
     rm: RoundMetrics,
     max_queue_depth: usize,
@@ -634,6 +700,7 @@ impl ShardLane {
             self.calendar.push(entry);
         } else {
             self.outboxes[shard].push(entry);
+            self.posted.note(at);
         }
     }
 
@@ -1070,21 +1137,39 @@ impl ShardLane {
         }
     }
 
-    /// Pours the mail peers handed over at the block barrier into
-    /// this lane's calendar. Push order is free: `take_due` re-sorts
-    /// every window by `(src, seq)`.
-    fn absorb_inbound(&mut self) {
+    /// Pours the mail peers handed over at the last block barrier into
+    /// this lane's calendar, and forgets what this lane posted itself:
+    /// every lane takes its mail in the same pass, so the peers are
+    /// pouring that in alongside. Push order is free: `take_due`
+    /// re-sorts every window by `(src, seq)`.
+    fn take_mail(&mut self) {
         for bucket in &mut self.inbound {
             for entry in bucket.drain(..) {
                 self.calendar.push(entry);
             }
         }
+        self.posted.clear();
     }
 
-    /// Due events in this lane's calendar within `[from, to)` — at
-    /// most `MAX_LOOKAHEAD` slot peeks.
+    /// Due events within `[from, to)` in this lane's calendar plus
+    /// the mail it posted in its last block — at most
+    /// `2 * MAX_LOOKAHEAD` slot peeks. Summed over lanes this counts
+    /// every event due in the window, mail not yet poured in included.
     fn due_in(&self, from: u64, to: u64) -> usize {
-        (from..to).map(|t| self.calendar.due_len(t)).sum()
+        (from..to).map(|t| self.calendar.due_len(t)).sum::<usize>() + self.posted.due_in(from, to)
+    }
+
+    /// The earliest pending time at or after `from` in this lane's
+    /// calendar or its last block's posted mail.
+    fn next_time(&self, from: u64) -> Option<u64> {
+        let own = self.calendar.next_time(from);
+        match self.posted.first() {
+            Some(at) => {
+                debug_assert!(at >= from, "mail posted behind the cursor");
+                Some(own.map_or(at, |t| t.min(at)))
+            }
+            None => own,
+        }
     }
 }
 
@@ -1166,6 +1251,7 @@ impl ShardedEngine {
                     calendar: Calendar::new(),
                     outboxes: (0..lane_count).map(|_| Vec::new()).collect(),
                     inbound: (0..lane_count).map(|_| Vec::new()).collect(),
+                    posted: Posted::new(),
                     rm: RoundMetrics::default(),
                     max_queue_depth: 0,
                 }
@@ -1264,7 +1350,7 @@ impl ShardedEngine {
     fn next_window(&self, from: u64) -> Option<u64> {
         self.lanes
             .iter()
-            .filter_map(|lane| lane.calendar.next_time(from))
+            .filter_map(|lane| lane.next_time(from))
             .min()
     }
 
@@ -1305,9 +1391,11 @@ impl ShardedEngine {
     }
 
     /// Runs one K-window lookahead block `[start, block_end)` on every
-    /// lane, then hands the cross-shard mail over at the barrier — both
-    /// phases on the worker pool when the block is dense, in-thread
-    /// when it is sparse (identical results either way).
+    /// lane — each lane first pours in the mail its peers handed over
+    /// at the previous barrier — then hands this block's cross-shard
+    /// mail over at the barrier. The lane jobs run on the worker pool
+    /// when the block is dense and in-thread when it is sparse
+    /// (identical results either way): one pool hand-off per block.
     fn run_block(&mut self, start: u64, block_end: u64, ctx: &Arc<Ctx>, tuning: &ExecTuning) {
         let due: usize = self.lanes.iter().map(|l| l.due_in(start, block_end)).sum();
         if due == 0 {
@@ -1316,27 +1404,40 @@ impl ShardedEngine {
         let parallel = self.fans_out(due, tuning);
         let cx = Arc::clone(ctx);
         self.for_each_lane(parallel, tuning, move |lane| {
+            lane.take_mail();
             lane.run_block(start, block_end, &cx);
         });
         // Block barrier: swap every non-empty outbox into its
         // destination's inbound slot (pointer swaps only; the empty
-        // buffer coming back is the sender's next outbox), then let
-        // each destination lane pour its own mail into its calendar.
+        // buffer coming back is the sender's next outbox). The mail
+        // stays there until the next lane job, or `settle_mail`.
         let lanes = self.lanes.len();
-        let mut any = false;
         for src in 0..lanes {
             for dst in 0..lanes {
                 if src == dst || self.lanes[src].outboxes[dst].is_empty() {
                     continue;
                 }
-                any = true;
                 let mail = std::mem::take(&mut self.lanes[src].outboxes[dst]);
                 let spare = std::mem::replace(&mut self.lanes[dst].inbound[src], mail);
                 self.lanes[src].outboxes[dst] = spare;
             }
         }
-        if any {
-            self.for_each_lane(parallel, tuning, ShardLane::absorb_inbound);
+    }
+
+    /// Pours any mail still waiting in inbound slots into the lanes'
+    /// calendars, so that between ticks all pending events sit in the
+    /// calendars. Only an async tick can end with mail waiting: a
+    /// quiesced epoch runs until nothing is pending.
+    fn settle_mail(&mut self, tuning: &ExecTuning) {
+        let waiting: usize = self
+            .lanes
+            .iter()
+            .flat_map(|l| &l.inbound)
+            .map(Vec::len)
+            .sum();
+        if waiting > 0 {
+            let parallel = self.fans_out(waiting, tuning);
+            self.for_each_lane(parallel, tuning, ShardLane::take_mail);
         }
     }
 
@@ -1457,7 +1558,8 @@ impl ShardedEngine {
         // re-chunk on the collect below.
         for mut lane in std::mem::take(&mut self.lanes) {
             debug_assert!(
-                lane.outboxes.iter().chain(&lane.inbound).all(Vec::is_empty),
+                lane.posted.is_empty()
+                    && lane.outboxes.iter().chain(&lane.inbound).all(Vec::is_empty),
                 "rebalance crossed a window with undelivered mail"
             );
             entries.append(&mut lane.calendar.drain_all());
@@ -1513,6 +1615,7 @@ impl ShardedEngine {
                     calendar: Calendar::new(),
                     outboxes: (0..lane_count).map(|_| Vec::new()).collect(),
                     inbound: (0..lane_count).map(|_| Vec::new()).collect(),
+                    posted: Posted::new(),
                     rm: RoundMetrics::default(),
                     max_queue_depth: 0,
                 }
@@ -1567,6 +1670,12 @@ impl ShardedEngine {
                 .iter()
                 .all(|lane| lane.pending.iter().all(|p| p.resolved)),
             "epoch ended with unresolved nodes"
+        );
+        debug_assert!(
+            self.lanes
+                .iter()
+                .all(|lane| lane.posted.is_empty() && lane.inbound.iter().all(Vec::is_empty)),
+            "epoch ended with mail waiting"
         );
         let mut rm = self.collect_rm(ctx.t);
         // With the quiescence barrier, every (re)join bootstraps and
@@ -1673,6 +1782,7 @@ impl ShardedEngine {
             self.run_block(w, block_end, ctx, tuning);
             cursor = block_end;
         }
+        self.settle_mail(tuning);
         self.async_clock = window_end;
         let mut rm = self.collect_rm(ctx.t);
         rm.alive = members.alive();
@@ -1712,6 +1822,29 @@ mod tests {
         let keys: Vec<(u32, u32)> = due.iter().map(|e| (e.src, e.seq)).collect();
         assert_eq!(keys, vec![(1, 7), (2, 0), (2, 1)]);
         assert!(cal.is_empty());
+    }
+
+    #[test]
+    fn posted_counts_mail_per_window_across_the_ring_seam() {
+        let mut posted = Posted::new();
+        assert!(posted.is_empty());
+        assert_eq!(posted.first(), None);
+        assert_eq!(posted.due_in(0, 1000), 0);
+        // Times straddle a ring rotation (slots 126, 127, 0, 1).
+        for at in [126, 129, 127, 129, 128] {
+            posted.note(at);
+        }
+        assert_eq!(posted.first(), Some(126));
+        assert_eq!(posted.due_in(126, 128), 2);
+        assert_eq!(posted.due_in(128, 130), 3);
+        // Slot 1 again one rotation later: outside the span, not aliased.
+        assert_eq!(posted.due_in(257, 258), 0);
+        posted.clear();
+        assert!(posted.is_empty());
+        assert_eq!(posted.due_in(0, 1000), 0);
+        posted.note(300);
+        assert_eq!(posted.due_in(300, 301), 1);
+        assert_eq!(posted.due_in(129, 130), 0);
     }
 
     #[test]
