@@ -132,3 +132,27 @@ fn sharded_async_churn_trajectory_is_pinned() {
     let drops = check("sharded(3) K=2 async churn", net, 40, 0x92d1_126a_f628_444b);
     assert!(drops > 0, "queue bound 2 never overflowed");
 }
+
+#[test]
+fn one_shard_quiesced_trajectory_is_pinned() {
+    let net = EventRuntime::new(
+        DistConfig::new(params(), 300).with_faults(lossy_crashing()),
+        41,
+    )
+    .with_scheduler(SchedulerKind::ShardedCalendar { shards: 1 })
+    .with_queue_bound(2);
+    check("one-shard quiesced", net, 40, 0x1023_0fcf_dbd1_a9d3);
+}
+
+#[test]
+fn one_shard_async_churn_trajectory_is_pinned() {
+    let faults = FaultPlan::with_drop_prob(0.1)
+        .unwrap()
+        .rolling_restart(30, 4);
+    let net = EventRuntime::new(DistConfig::new(params(), 300).with_faults(faults), 43)
+        .with_scheduler(SchedulerKind::ShardedCalendar { shards: 1 })
+        .with_async_epochs(StalenessBound::Epochs(1))
+        .with_queue_bound(2);
+    let drops = check("one-shard async churn", net, 40, 0x727d_4c32_57bd_744e);
+    assert!(drops > 0, "queue bound 2 never overflowed");
+}
