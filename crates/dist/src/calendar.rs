@@ -1,19 +1,20 @@
-//! The sharded calendar-queue scheduler: the [`EventRuntime`]'s
-//! scalable execution engine, selected with
+//! The sharded calendar-queue scheduler: the [`EventRuntime`]'s only
+//! execution engine, one lane by default and more with
 //! [`SchedulerKind::ShardedCalendar`].
 //!
 //! [`EventRuntime`]: crate::EventRuntime
 //!
 //! # Why
 //!
-//! The default single-heap scheduler keys every pending event in one
-//! `BinaryHeap`, so each push/pop costs `O(log E)` comparisons over a
-//! heap that holds several events per node — at fleet scale the sift
-//! paths are cache-miss chains through tens of megabytes, and they
-//! dominate the tick. This module replaces the heap with a **calendar
-//! queue**: events are bucketed by virtual-time slot in a fixed ring
-//! ([`RING_SLOTS`] wide), so enqueue is an `O(1)` append and dequeue
-//! is a linear walk of one bucket. On top of the calendar, the fleet
+//! A binary heap over every pending event costs `O(log E)`
+//! comparisons per push/pop over a heap that holds several events per
+//! node — at fleet scale the sift paths are cache-miss chains through
+//! tens of megabytes, and they dominate the tick. The engine keys
+//! events in a **calendar queue** instead: events are bucketed by
+//! virtual-time slot in a fixed ring ([`RING_SLOTS`] wide), so enqueue
+//! is an `O(1)` append and dequeue is a linear walk of one bucket. The
+//! protocol itself — both epoch disciplines — is one state machine
+//! over a lane's nodes. On top of the calendar, the fleet
 //! is **sharded** by destination-node range: each shard owns the
 //! per-node state of a contiguous node block and advances its own
 //! local event stream one time window at a time, handing cross-shard
@@ -83,14 +84,14 @@
 //! Together these give the invariant the proptest suite pins down:
 //! for a fixed seed, ticks produce **byte-identical metrics and
 //! distributions for any shard count**, and the law of the process
-//! matches the single-heap scheduler (KS-tested in
-//! `tests/equivalence.rs`).
+//! matches the finite-population dynamics and the round-synchronous
+//! runtime (KS-tested in `tests/equivalence.rs`).
 //!
 //! # Membership churn and online rebalancing
 //!
 //! Scripted joins, leaves, and rejoins (the [`FaultPlan`] membership
-//! builders) land at tick boundaries, mirroring the single-heap
-//! scheduler decision for decision: a departing node's commitment
+//! builders) land at tick boundaries, processed in node order: a
+//! departing node's commitment
 //! leaves the lane's popularity counts and its pending attempt is
 //! wiped; a (re)joining node enters bootstrapping and re-learns a
 //! commitment through the ordinary query/reply protocol — no state
@@ -119,8 +120,8 @@ use sociolearn_sim::WorkerPool;
 
 use crate::cast::index_u32;
 use crate::event::{
-    Event, Mode, Pending, StalenessBound, ASYNC_EPOCH_PERIOD, ASYNC_WAKE_JITTER, DELIVER_DELAY,
-    MAX_MESSAGE_LATENCY, RETRY_TIMEOUT, WAKE_SPREAD,
+    Mode, ASYNC_EPOCH_PERIOD, ASYNC_WAKE_JITTER, DELIVER_DELAY, MAX_MESSAGE_LATENCY, RETRY_TIMEOUT,
+    WAKE_SPREAD,
 };
 use crate::soa::{AlignedU32s, AlignedU64s};
 use crate::{
@@ -198,16 +199,15 @@ fn effective_threads(threads: usize) -> usize {
     }
 }
 
-/// Which scheduler drives the [`EventRuntime`](crate::EventRuntime).
+/// How the [`EventRuntime`](crate::EventRuntime)'s scheduler is laid
+/// out, selected with
+/// [`with_scheduler`](crate::EventRuntime::with_scheduler).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchedulerKind {
-    /// The original scheduler: one global `BinaryHeap` keyed
-    /// `(time, seq)`, one global RNG stream. Exactly the pre-sharding
-    /// behavior, kept so every test can run both schedulers.
-    SingleHeap,
-    /// The sharded calendar-queue engine of this module. `shards` is
-    /// clamped to the fleet size; randomness is split into per-node
-    /// streams, so results are byte-identical across shard counts.
+    /// The sharded calendar-queue engine of this module — the only
+    /// scheduler; one shard by default. `shards` is clamped to the
+    /// fleet size; randomness is split into per-node streams, so
+    /// results are byte-identical across shard counts.
     ShardedCalendar {
         /// Number of destination-node-range shards (at least 1).
         shards: usize,
@@ -216,14 +216,69 @@ pub enum SchedulerKind {
 
 impl std::fmt::Display for SchedulerKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SchedulerKind::SingleHeap => f.write_str("single-heap"),
-            SchedulerKind::ShardedCalendar { shards } => {
-                write!(f, "sharded-calendar({shards})")
-            }
-        }
+        let SchedulerKind::ShardedCalendar { shards } = self;
+        write!(f, "sharded-calendar({shards})")
     }
 }
+
+/// A scheduler event. Node ids are `u32` to keep the calendar entries
+/// small (the fleet bound of `u32::MAX` nodes is far beyond anything
+/// the simulations run).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Event {
+    /// An alive node starts stage 1 of the protocol. `inc` is the
+    /// node's incarnation at schedule time: async mode bumps a node's
+    /// incarnation when it leaves, so a wake-up scheduled before the
+    /// leave cannot fire into the rejoined node's next life (wake-ups
+    /// are the only event kind whose horizon outlives an absence —
+    /// everything else expires within one tick window). Quiesced mode
+    /// clears the schedule every tick, so the tag is inert there.
+    Wake { node: u32, inc: u32 },
+    /// A query from `from` reaches `to`'s inbox (link loss already
+    /// resolved at send time). `epoch` is the sender's local epoch at
+    /// send time — the staleness reference in async mode, ignored in
+    /// quiesced mode.
+    QueryArrive { from: u32, to: u32, epoch: u64 },
+    /// A reply carrying `option` reaches `node`'s inbox.
+    ReplyArrive { node: u32, option: u32 },
+    /// `node` processes the query from `from` that its inbox accepted
+    /// one [`DELIVER_DELAY`] earlier.
+    ///
+    /// The message rides in the event instead of a per-node FIFO: a
+    /// node schedules its own deliveries at `now + DELIVER_DELAY` with
+    /// increasing sequence numbers, so the calendar's `(at, src, seq)`
+    /// order pops a node's k-th delivery exactly when a FIFO would pop
+    /// its k-th message.
+    DeliverQuery { node: u32, from: u32, epoch: u64 },
+    /// `node` processes a reply carrying `option` (see
+    /// [`Event::DeliverQuery`]).
+    DeliverReply { node: u32, option: u32 },
+    /// `node`'s query `attempt` has waited long enough; retry or fall
+    /// back unless a reply already resolved it. `epoch` pins the
+    /// timeout to the local epoch that issued the attempt, so a stale
+    /// timeout surviving into a later epoch (possible in async mode,
+    /// where the schedule is never cleared) cannot fire spuriously.
+    Timeout { node: u32, attempt: u32, epoch: u64 },
+}
+
+// A message travels inside its scheduler event; carrying one must not
+// widen the calendar entry.
+const _: () = assert!(std::mem::size_of::<Event>() <= 24);
+
+/// Per-node transport bookkeeping for the current epoch. This is
+/// scheduler state, not protocol state: the node's *protocol* memory
+/// is still just its committed option ([`crate::NODE_STATE_BYTES`]).
+#[derive(Debug, Clone, Copy, Default)]
+struct Pending {
+    /// The outstanding query attempt (0 = none issued yet).
+    attempt: u32,
+    /// Whether stage 1 has resolved this epoch (copied, explored, or
+    /// fell back) — late replies and stale timeouts are ignored.
+    resolved: bool,
+}
+
+// The transport bookkeeping stays flat.
+const _: () = assert!(std::mem::size_of::<Pending>() <= 2 * crate::NODE_STATE_BYTES);
 
 /// One scheduled item in a [`Calendar`]: the payload plus the
 /// intrinsic ordering key `(at, src, seq)` — virtual time, source
@@ -547,11 +602,26 @@ struct Ctx {
     present: Arc<Vec<bool>>,
 }
 
-/// Per-node protocol state a [`ShardLane`] owns — the same inventory
-/// as the single-heap engine (commitment, one-slot history, local
-/// epoch) plus the per-source sequence counter and incarnation tag
-/// that give the sharded engine its intrinsic `(time, src, seq)`
-/// total order. The inbox is transport bookkeeping outside this
+impl Ctx {
+    /// Whether the tick runs fully-async overlapping epochs.
+    #[inline]
+    fn is_async(&self) -> bool {
+        matches!(self.mode, Mode::Async(_))
+    }
+
+    /// Whether `node` is present this round. Without any scheduled
+    /// membership transition every node always is, so the lookup — a
+    /// cache miss per random peer at fleet scale — is skipped.
+    #[inline]
+    fn is_present(&self, node: u32) -> bool {
+        !self.has_faults || self.present[node as usize]
+    }
+}
+
+/// Per-node protocol state a [`ShardLane`] owns (commitment, one-slot
+/// history, local epoch) plus the per-source sequence counter and
+/// incarnation tag that give the engine its intrinsic
+/// `(time, src, seq)` total order. The inbox is transport bookkeeping outside this
 /// budget: a bounded depth counter; messages ride in their `Deliver`
 /// event. Still a constant footprint: rebalancing hands these across
 /// lanes, it never grows them.
@@ -622,6 +692,39 @@ impl Posted {
         }
         self.lo = u64::MAX;
         self.hi = 0;
+    }
+}
+
+/// The per-node state of the whole fleet in global node order — what
+/// [`ShardedEngine::lay_out`] cuts into lanes, one field per
+/// [`ShardLane`] column.
+struct NodeColumns {
+    choices: Vec<u32>,
+    back: Vec<u32>,
+    epochs: Vec<u64>,
+    last_wake: Vec<u64>,
+    pending: Vec<Pending>,
+    depth: Vec<u32>,
+    rngs: Vec<SmallRng>,
+    seqs: Vec<u32>,
+    incs: Vec<u32>,
+    boot: Vec<bool>,
+}
+
+impl NodeColumns {
+    fn with_capacity(n: usize) -> Self {
+        NodeColumns {
+            choices: Vec::with_capacity(n),
+            back: Vec::with_capacity(n),
+            epochs: Vec::with_capacity(n),
+            last_wake: Vec::with_capacity(n),
+            pending: Vec::with_capacity(n),
+            depth: Vec::with_capacity(n),
+            rngs: Vec::with_capacity(n),
+            seqs: Vec::with_capacity(n),
+            incs: Vec::with_capacity(n),
+            boot: Vec::with_capacity(n),
+        }
     }
 }
 
@@ -716,7 +819,7 @@ impl ShardLane {
 
     /// Offers a local node a message; `deliver` is its `Deliver`
     /// event, scheduled on success, while overflow counts a
-    /// backpressure drop. Mirrors the single-heap `enqueue`.
+    /// backpressure drop.
     fn enqueue(&mut self, local: usize, deliver: Event, now: u64, ctx: &Ctx) {
         let depth = self.depth[local];
         if depth as usize >= ctx.queue_bound {
@@ -748,82 +851,148 @@ impl ShardLane {
         self.choices[local] = new;
     }
 
-    // ---- epoch-quiesced protocol, mirrored stage for stage from the
-    // ---- single-heap scheduler (same decisions, same RNG *shape*,
-    // ---- but drawn from per-node streams). The mirroring is a hard
-    // ---- contract: any protocol change in event.rs (µ-branch, retry
-    // ---- budget, peer pick, staleness rule, crash handling) MUST be
-    // ---- replicated here and in the async methods below, or the two
-    // ---- schedulers silently drift apart in law — the KS tests in
-    // ---- tests/equivalence.rs are the tripwire, not the guarantee.
+    // ---- The protocol: one state machine for both epoch disciplines.
+    // ---- The modes differ only where `ctx.mode` is matched below: the
+    // ---- epoch tag on queries and timeouts, the responder's staleness
+    // ---- rule, and the async epilogue of `decide`. The presence and
+    // ---- incarnation checks run in both and never fire in a quiesced
+    // ---- epoch, whose wakes and mail only reach nodes present all
+    // ---- epoch long.
 
-    /// Quiesced stage 1 resolution + stage 2 adoption.
-    fn decide_q(&mut self, local: usize, considered: u32, ctx: &Ctx) {
-        debug_assert!(!self.pending[local].resolved, "node resolved twice");
-        self.pending[local].resolved = true;
-        let adopt_p = ctx
-            .params
-            .adopt_probability(ctx.rewards[considered as usize]);
-        if self.rngs[local].gen_bool(adopt_p) {
-            self.choices[local] = considered;
-            self.counts[considered as usize] += 1;
-            self.rm.committed += 1;
+    /// The epoch tag a query or timeout issued now carries: the local
+    /// epoch the node is working on in async mode, where the schedule
+    /// is never cleared and an abandoned timeout may surface epochs
+    /// later; inert (0) in quiesced mode, which clears it every tick.
+    fn epoch_tag(&self, local: usize, ctx: &Ctx) -> u64 {
+        match ctx.mode {
+            Mode::Quiesced => 0,
+            Mode::Async(_) => self.epochs[local] + 1,
         }
     }
 
-    /// Quiesced query attempt (or µ-exploration on attempt 1, or the
-    /// uniform fallback once the retry budget is spent).
-    fn start_attempt_q(&mut self, local: usize, attempt: u32, now: u64, ctx: &Ctx) {
+    /// Resolves stage 1 with `considered` and runs stage 2 (adopt with
+    /// the quality-dependent probability, else sit out). In async mode
+    /// the node then completes its local epoch and schedules its next
+    /// wake-up on its own cadence — the moment the barrier-free design
+    /// hinges on: nothing here waits for the rest of the fleet.
+    fn decide(&mut self, local: usize, considered: u32, now: u64, ctx: &Ctx) {
+        debug_assert!(!self.pending[local].resolved, "node resolved twice");
+        self.pending[local].resolved = true;
+        if self.boot[local] {
+            // First epoch decision after a (re)join: the bootstrap is
+            // over, whatever stage 1 produced.
+            self.boot[local] = false;
+            self.boot_count -= 1;
+        }
+        let adopt_p = ctx
+            .params
+            .adopt_probability(ctx.rewards[considered as usize]);
+        if ctx.is_async() {
+            // The commitment being superseded becomes the one-slot
+            // history peers can still be served from. (A quiesced node
+            // holds no commitment until it decides, and `back` is the
+            // last epoch's snapshot peers are reading.)
+            self.back[local] = self.choices[local];
+        }
+        let adopted = self.rngs[local].gen_bool(adopt_p);
+        if adopted {
+            self.rm.committed += 1;
+        }
+        self.set_commit(local, if adopted { considered } else { NO_CHOICE });
+        if ctx.is_async() {
+            self.epochs[local] += 1;
+            // Next local epoch: one period after the last wake-up, or
+            // immediately (plus jitter) if this epoch overran the
+            // period — that overrun is how slow nodes drift behind
+            // their peers (they catch back up by running epochs
+            // back-to-back once the retry storm passes).
+            let cadence = self.last_wake[local] + ASYNC_EPOCH_PERIOD;
+            let at = cadence.max(now + 1) + self.rngs[local].gen_range(0..ASYNC_WAKE_JITTER);
+            let node = self.base + index_u32(local);
+            let inc = self.incs[local];
+            self.push_from(node, at, Event::Wake { node, inc }, ctx);
+        }
+    }
+
+    /// Issues query `attempt` for a local node (or the uniform
+    /// fallback once the retry budget is spent). `attempt == 1` is the
+    /// stage-1 entry point and may take the µ-exploration branch
+    /// instead.
+    fn start_attempt(&mut self, local: usize, attempt: u32, now: u64, ctx: &Ctx) {
         let node = self.base + index_u32(local);
         if attempt == 1 && self.rngs[local].gen_bool(ctx.mu) {
             self.rm.explorations += 1;
             let considered = index_u32(self.rngs[local].gen_range(0..ctx.m));
-            self.decide_q(local, considered, ctx);
+            self.decide(local, considered, now, ctx);
             return;
         }
         if attempt > MAX_QUERY_RETRIES || ctx.n == 1 {
+            // Retry budget spent (or no peers to ask at all): uniform
+            // fallback, exactly as in the round-synchronous runtime.
             self.rm.fallbacks += 1;
             let considered = index_u32(self.rngs[local].gen_range(0..ctx.m));
-            self.decide_q(local, considered, ctx);
+            self.decide(local, considered, now, ctx);
             return;
         }
         self.pending[local].attempt = attempt;
         self.rm.queries_sent += 1;
+        // Ask a uniformly random *other* node.
         let g = node as usize;
         let mut peer = self.rngs[local].gen_range(0..ctx.n - 1);
         if peer >= g {
             peer += 1;
         }
-        self.push_from(
+        // The retry clock starts now, reply or no reply; the query
+        // must survive the link to be scheduled for arrival.
+        let epoch = self.epoch_tag(local, ctx);
+        let timeout = Event::Timeout {
             node,
-            now + RETRY_TIMEOUT,
-            Event::Timeout {
-                node,
-                attempt,
-                epoch: 0,
-            },
-            ctx,
-        );
+            attempt,
+            epoch,
+        };
+        self.push_from(node, now + RETRY_TIMEOUT, timeout, ctx);
         if !self.link_drops(local, ctx) {
             let at = msg_at(now, self.latency(local), ctx);
-            self.push_from(
-                node,
-                at,
-                Event::QueryArrive {
-                    from: node,
-                    to: index_u32(peer),
-                    epoch: 0,
-                },
-                ctx,
-            );
+            let to = index_u32(peer);
+            let query = Event::QueryArrive {
+                from: node,
+                to,
+                epoch,
+            };
+            self.push_from(node, at, query, ctx);
         }
     }
 
-    /// Quiesced delivery of a query: answer from last epoch's
-    /// commitment.
-    fn deliver_query_q(&mut self, local: usize, from: u32, now: u64, ctx: &Ctx) {
+    /// A local node handles the query from `from` (tagged `epoch`) its
+    /// inbox just delivered. A node with nothing to report stays
+    /// silent and the querier's timeout drives the retry.
+    fn deliver_query(&mut self, local: usize, from: u32, epoch: u64, now: u64, ctx: &Ctx) {
         self.dequeue(local);
-        let option = self.back[local];
+        let option = match ctx.mode {
+            // Answer with the option committed last epoch.
+            Mode::Quiesced => self.back[local],
+            Mode::Async(bound) => {
+                // The querier at local epoch `e` would, under
+                // synchronized execution, copy information committed
+                // at epoch `e - 1`. Serve the snapshot nearest that
+                // epoch: the latest commitment if the responder is at
+                // or behind it (staleness = the gap), else the
+                // one-slot history (fresher than asked, never stale).
+                // Withhold a reply staler than the bound.
+                let want = epoch.saturating_sub(1);
+                let r = self.epochs[local];
+                let (option, stale) = if want >= r {
+                    (self.choices[local], want - r)
+                } else {
+                    (self.back[local], 0)
+                };
+                if option != NO_CHOICE && !bound.allows(stale) {
+                    self.rm.stale_replies += 1;
+                    return;
+                }
+                option
+            }
+        };
         if option != NO_CHOICE && !self.link_drops(local, ctx) {
             let at = msg_at(now, self.latency(local), ctx);
             let node = self.base + index_u32(local);
@@ -831,15 +1000,83 @@ impl ShardLane {
         }
     }
 
-    /// Quiesced delivery of a reply: resolve stage 1 unless already
-    /// resolved.
-    fn deliver_reply_q(&mut self, local: usize, option: u32, ctx: &Ctx) {
+    /// A local node handles the reply carrying `option` its inbox just
+    /// delivered: stage 1 resolves unless it already has (a late
+    /// duplicate cannot normally happen — a delivered reply always
+    /// beats its timeout — and is ignored for safety).
+    fn deliver_reply(&mut self, local: usize, option: u32, now: u64, ctx: &Ctx) {
         self.dequeue(local);
         if self.pending[local].resolved {
             return;
         }
         self.rm.replies_received += 1;
-        self.decide_q(local, option, ctx);
+        self.decide(local, option, now, ctx);
+    }
+
+    /// Handles one due event.
+    fn handle(&mut self, entry: Entry<Event>, now: u64, ctx: &Ctx) {
+        match entry.payload {
+            Event::Wake { node, inc } => {
+                let local = (node - self.base) as usize;
+                // The incarnation tag kills async wake-ups scheduled
+                // before a leave: they are the only events whose
+                // horizon outlives a one-round absence.
+                if ctx.is_present(node) && inc == self.incs[local] {
+                    self.pending[local] = Pending::default();
+                    self.last_wake[local] = now;
+                    self.start_attempt(local, 1, now, ctx);
+                }
+            }
+            Event::QueryArrive { from, to, epoch } => {
+                // An absent peer (crashed or departed) swallows the
+                // query; the querier's timeout drives the retry.
+                if ctx.is_present(to) {
+                    let deliver = Event::DeliverQuery {
+                        node: to,
+                        from,
+                        epoch,
+                    };
+                    self.enqueue((to - self.base) as usize, deliver, now, ctx);
+                }
+            }
+            Event::ReplyArrive { node, option } => {
+                if ctx.is_present(node) {
+                    let deliver = Event::DeliverReply { node, option };
+                    self.enqueue((node - self.base) as usize, deliver, now, ctx);
+                }
+            }
+            // Mail already in the inbox of a node that has since left
+            // or crashed (async mode) is consumed unread, keeping
+            // deliveries 1:1 with enqueues even for the dead.
+            Event::DeliverQuery { node, .. } | Event::DeliverReply { node, .. }
+                if !ctx.is_present(node) =>
+            {
+                self.dequeue((node - self.base) as usize);
+            }
+            Event::DeliverQuery { node, from, epoch } => {
+                self.deliver_query((node - self.base) as usize, from, epoch, now, ctx);
+            }
+            Event::DeliverReply { node, option } => {
+                self.deliver_reply((node - self.base) as usize, option, now, ctx);
+            }
+            Event::Timeout {
+                node,
+                attempt,
+                epoch,
+            } => {
+                let local = (node - self.base) as usize;
+                let p = self.pending[local];
+                // The epoch tag rejects timeouts abandoned by an
+                // earlier local epoch.
+                if ctx.is_present(node)
+                    && !p.resolved
+                    && p.attempt == attempt
+                    && epoch == self.epoch_tag(local, ctx)
+                {
+                    self.start_attempt(local, attempt + 1, now, ctx);
+                }
+            }
+        }
     }
 
     /// Resets the lane for a fresh quiesced epoch and wakes its
@@ -859,7 +1096,8 @@ impl ShardLane {
                 self.rm.alive += 1;
                 self.pending[local] = Pending::default();
                 let at = self.rngs[local].gen_range(0..WAKE_SPREAD);
-                self.push_from(node, at, Event::Wake { node, inc: 0 }, ctx);
+                let inc = self.incs[local];
+                self.push_from(node, at, Event::Wake { node, inc }, ctx);
             } else {
                 // An absent node answers nothing: its snapshot slot is
                 // cleared so a query landing here finds no commitment.
@@ -872,251 +1110,11 @@ impl ShardLane {
         }
     }
 
-    /// Handles one due quiesced-mode event.
-    fn handle_q(&mut self, entry: Entry<Event>, now: u64, ctx: &Ctx) {
-        match entry.payload {
-            Event::Wake { node, .. } => {
-                self.start_attempt_q((node - self.base) as usize, 1, now, ctx);
-            }
-            Event::QueryArrive { from, to, epoch } => {
-                if !ctx.has_faults || ctx.present[to as usize] {
-                    let deliver = Event::DeliverQuery {
-                        node: to,
-                        from,
-                        epoch,
-                    };
-                    self.enqueue((to - self.base) as usize, deliver, now, ctx);
-                }
-            }
-            Event::ReplyArrive { node, option } => {
-                let deliver = Event::DeliverReply { node, option };
-                self.enqueue((node - self.base) as usize, deliver, now, ctx);
-            }
-            Event::DeliverQuery { node, from, .. } => {
-                self.deliver_query_q((node - self.base) as usize, from, now, ctx);
-            }
-            Event::DeliverReply { node, option } => {
-                self.deliver_reply_q((node - self.base) as usize, option, ctx);
-            }
-            Event::Timeout {
-                node,
-                attempt,
-                epoch: _,
-            } => {
-                let local = (node - self.base) as usize;
-                let p = self.pending[local];
-                if !p.resolved && p.attempt == attempt {
-                    self.start_attempt_q(local, attempt + 1, now, ctx);
-                }
-            }
-        }
-    }
-
-    // ---- fully-async protocol, mirrored from the single-heap async
-    // ---- path: local epoch counters, epoch-tagged queries/timeouts,
-    // ---- staleness filtering, cadence-scheduled wake-ups.
-
-    /// Async stage 2 + local-epoch completion + next wake-up.
-    fn decide_async(&mut self, local: usize, considered: u32, now: u64, ctx: &Ctx) {
-        debug_assert!(!self.pending[local].resolved, "node resolved twice");
-        self.pending[local].resolved = true;
-        if self.boot[local] {
-            // First epoch decision after a (re)join: the bootstrap is
-            // over, whatever stage 1 produced.
-            self.boot[local] = false;
-            self.boot_count -= 1;
-        }
-        let adopt_p = ctx
-            .params
-            .adopt_probability(ctx.rewards[considered as usize]);
-        self.back[local] = self.choices[local];
-        if self.rngs[local].gen_bool(adopt_p) {
-            self.set_commit(local, considered);
-            self.rm.committed += 1;
-        } else {
-            self.set_commit(local, NO_CHOICE);
-        }
-        self.epochs[local] += 1;
-        let cadence = self.last_wake[local] + ASYNC_EPOCH_PERIOD;
-        let at = cadence.max(now + 1) + self.rngs[local].gen_range(0..ASYNC_WAKE_JITTER);
-        let node = self.base + index_u32(local);
-        self.push_from(
-            node,
-            at,
-            Event::Wake {
-                node,
-                inc: self.incs[local],
-            },
-            ctx,
-        );
-    }
-
-    /// Async query attempt with epoch-tagged timeout/query events.
-    fn start_attempt_async(&mut self, local: usize, attempt: u32, now: u64, ctx: &Ctx) {
-        let node = self.base + index_u32(local);
-        if attempt == 1 && self.rngs[local].gen_bool(ctx.mu) {
-            self.rm.explorations += 1;
-            let considered = index_u32(self.rngs[local].gen_range(0..ctx.m));
-            self.decide_async(local, considered, now, ctx);
-            return;
-        }
-        if attempt > MAX_QUERY_RETRIES || ctx.n == 1 {
-            self.rm.fallbacks += 1;
-            let considered = index_u32(self.rngs[local].gen_range(0..ctx.m));
-            self.decide_async(local, considered, now, ctx);
-            return;
-        }
-        self.pending[local].attempt = attempt;
-        self.rm.queries_sent += 1;
-        let g = node as usize;
-        let mut peer = self.rngs[local].gen_range(0..ctx.n - 1);
-        if peer >= g {
-            peer += 1;
-        }
-        let epoch = self.epochs[local] + 1;
-        self.push_from(
-            node,
-            now + RETRY_TIMEOUT,
-            Event::Timeout {
-                node,
-                attempt,
-                epoch,
-            },
-            ctx,
-        );
-        if !self.link_drops(local, ctx) {
-            let at = msg_at(now, self.latency(local), ctx);
-            self.push_from(
-                node,
-                at,
-                Event::QueryArrive {
-                    from: node,
-                    to: index_u32(peer),
-                    epoch,
-                },
-                ctx,
-            );
-        }
-    }
-
-    /// Async delivery of a query, with responder-side staleness
-    /// filtering.
-    fn deliver_query_async(
-        &mut self,
-        local: usize,
-        from: u32,
-        epoch: u64,
-        now: u64,
-        ctx: &Ctx,
-        bound: StalenessBound,
-    ) {
-        self.dequeue(local);
-        let want = epoch.saturating_sub(1);
-        let r = self.epochs[local];
-        let (option, stale) = if want >= r {
-            (self.choices[local], want - r)
-        } else {
-            (self.back[local], 0)
-        };
-        if option == NO_CHOICE {
-            return;
-        }
-        if !bound.allows(stale) {
-            self.rm.stale_replies += 1;
-            return;
-        }
-        if !self.link_drops(local, ctx) {
-            let at = msg_at(now, self.latency(local), ctx);
-            let node = self.base + index_u32(local);
-            self.push_from(node, at, Event::ReplyArrive { node: from, option }, ctx);
-        }
-    }
-
-    /// Async delivery of a reply.
-    fn deliver_reply_async(&mut self, local: usize, option: u32, now: u64, ctx: &Ctx) {
-        self.dequeue(local);
-        if self.pending[local].resolved {
-            return;
-        }
-        self.rm.replies_received += 1;
-        self.decide_async(local, option, now, ctx);
-    }
-
-    /// Handles one due fully-async event.
-    fn handle_async(&mut self, entry: Entry<Event>, now: u64, ctx: &Ctx, bound: StalenessBound) {
-        match entry.payload {
-            Event::Wake { node, inc } => {
-                let local = (node - self.base) as usize;
-                // The incarnation tag kills wake-ups scheduled before
-                // a leave: they are the only events whose horizon
-                // outlives a one-round absence.
-                if ctx.present[node as usize] && inc == self.incs[local] {
-                    self.pending[local] = Pending::default();
-                    self.last_wake[local] = now;
-                    self.start_attempt_async(local, 1, now, ctx);
-                }
-            }
-            Event::QueryArrive { from, to, epoch } => {
-                if ctx.present[to as usize] {
-                    let deliver = Event::DeliverQuery {
-                        node: to,
-                        from,
-                        epoch,
-                    };
-                    self.enqueue((to - self.base) as usize, deliver, now, ctx);
-                }
-            }
-            Event::ReplyArrive { node, option } => {
-                if ctx.present[node as usize] {
-                    let deliver = Event::DeliverReply { node, option };
-                    self.enqueue((node - self.base) as usize, deliver, now, ctx);
-                }
-            }
-            // Mail already in the inbox of a node that has since left
-            // or crashed is consumed unread, keeping deliveries 1:1
-            // with enqueues even for the dead.
-            Event::DeliverQuery { node, .. } | Event::DeliverReply { node, .. }
-                if !ctx.present[node as usize] =>
-            {
-                self.dequeue((node - self.base) as usize);
-            }
-            Event::DeliverQuery { node, from, epoch } => {
-                let local = (node - self.base) as usize;
-                self.deliver_query_async(local, from, epoch, now, ctx, bound);
-            }
-            Event::DeliverReply { node, option } => {
-                self.deliver_reply_async((node - self.base) as usize, option, now, ctx);
-            }
-            Event::Timeout {
-                node,
-                attempt,
-                epoch,
-            } => {
-                let local = (node - self.base) as usize;
-                if ctx.present[node as usize] {
-                    let p = self.pending[local];
-                    if !p.resolved && p.attempt == attempt && self.epochs[local] + 1 == epoch {
-                        self.start_attempt_async(local, attempt + 1, now, ctx);
-                    }
-                }
-            }
-        }
-    }
-
     /// Processes every event due at `now`, in `(src, seq)` order.
     fn run_window(&mut self, now: u64, ctx: &Ctx) {
         let due = self.calendar.take_due(now);
-        match ctx.mode {
-            Mode::Quiesced => {
-                for &entry in &due {
-                    self.handle_q(entry, now, ctx);
-                }
-            }
-            Mode::Async(bound) => {
-                for &entry in &due {
-                    self.handle_async(entry, now, ctx, bound);
-                }
-            }
+        for &entry in &due {
+            self.handle(entry, now, ctx);
         }
         self.calendar.recycle(due);
     }
@@ -1212,59 +1210,50 @@ impl ShardedEngine {
     ) -> Self {
         let n = cfg.num_nodes();
         let m = cfg.params().num_options();
-        let lane_count = ShardMap::lane_count(n, shards);
-        let map = ShardMap::balanced(n, lane_count, members);
-        debug_assert_eq!(map.lanes(), lane_count);
-        let lanes = (0..lane_count)
-            .map(|index| {
-                let base = map.base_of(index);
-                let len = map.end_of(index) - base;
-                let mut counts = vec![0u64; m];
-                let choices: AlignedU32s = (base..base + len)
-                    .map(|i| {
-                        if members.in_initial_fleet(i) {
-                            let c = crate::uniform_start_choice(i, m);
-                            counts[c as usize] += 1;
-                            c
-                        } else {
-                            NO_CHOICE
-                        }
-                    })
-                    .collect();
-                ShardLane {
-                    index,
-                    base: index_u32(base),
-                    choices,
-                    back: AlignedU32s::with_len(len, NO_CHOICE),
-                    epochs: AlignedU64s::with_len(len, 0),
-                    last_wake: AlignedU64s::with_len(len, 0),
-                    pending: vec![Pending::default(); len],
-                    depth: AlignedU32s::with_len(len, 0),
-                    rngs: (0..len)
-                        .map(|local| SmallRng::seed_from_u64(node_stream_seed(seed, base + local)))
-                        .collect(),
-                    seqs: AlignedU32s::with_len(len, 0),
-                    incs: AlignedU32s::with_len(len, 0),
-                    boot: vec![false; len],
-                    boot_count: 0,
-                    counts,
-                    calendar: Calendar::new(),
-                    outboxes: (0..lane_count).map(|_| Vec::new()).collect(),
-                    inbound: (0..lane_count).map(|_| Vec::new()).collect(),
-                    posted: Posted::new(),
-                    rm: RoundMetrics::default(),
-                    max_queue_depth: 0,
-                }
-            })
-            .collect();
-        let present = Arc::new((0..n).map(|i| members.is_present(i)).collect());
-        ShardedEngine {
-            map,
-            lanes,
+        let nodes = NodeColumns {
+            choices: (0..n)
+                .map(|i| {
+                    if members.in_initial_fleet(i) {
+                        crate::uniform_start_choice(i, m)
+                    } else {
+                        NO_CHOICE
+                    }
+                })
+                .collect(),
+            back: vec![NO_CHOICE; n],
+            epochs: vec![0; n],
+            last_wake: vec![0; n],
+            pending: vec![Pending::default(); n],
+            depth: vec![0; n],
+            rngs: (0..n)
+                .map(|i| SmallRng::seed_from_u64(node_stream_seed(seed, i)))
+                .collect(),
+            seqs: vec![0; n],
+            incs: vec![0; n],
+            boot: vec![false; n],
+        };
+        let map = ShardMap::balanced(n, ShardMap::lane_count(n, shards), members);
+        let mut engine = ShardedEngine {
+            map: map.clone(),
+            lanes: Vec::new(),
             async_clock: 0,
             rebalances: 0,
-            present,
+            present: Arc::new((0..n).map(|i| members.is_present(i)).collect()),
             pool: None,
+        };
+        engine.lay_out(map, m, nodes, Vec::new(), 0);
+        engine
+    }
+
+    /// Re-cuts the engine into `min(shards, n)` lanes balanced by
+    /// present-node load. Used before the first tick to pick the shard
+    /// count; the per-node state (and its RNG streams) moves, it is
+    /// not rebuilt.
+    pub(crate) fn repartition(&mut self, shards: usize, members: &MembershipTracker) {
+        let n = self.present.len();
+        let map = ShardMap::balanced(n, ShardMap::lane_count(n, shards), members);
+        if map != self.map {
+            self.relayout(map);
         }
     }
 
@@ -1525,10 +1514,8 @@ impl ShardedEngine {
     }
 
     /// Recomputes lane boundaries to even out *present* nodes and
-    /// migrates each moving node's full state — commitment, inbox
-    /// depth, local epoch, RNG stream, incarnation, and pending
-    /// calendar entries (queued mail rides in its `Deliver` entry) —
-    /// to its new owner. Runs only between ticks, where
+    /// migrates each moving node's full state to its new owner (see
+    /// [`relayout`](Self::relayout)). Runs only between ticks, where
     /// cross-shard outboxes are provably empty, so nothing is in
     /// flight mid-move; per-node RNG streams and intrinsic event keys
     /// make the new partition produce byte-identical results.
@@ -1538,56 +1525,71 @@ impl ShardedEngine {
             return;
         }
         self.rebalances += 1;
-        let lane_count = self.lanes.len();
+        self.relayout(new_map);
+    }
+
+    /// Flattens every lane back to global node order — commitment,
+    /// inbox depth, local epoch, RNG stream, incarnation, and pending
+    /// calendar entries (queued mail rides in its `Deliver` entry) —
+    /// and cuts the result into the lanes of `map`.
+    fn relayout(&mut self, map: ShardMap) {
+        let n = self.present.len();
         let m = self.lanes[0].counts.len();
         let depth_watermark = self.max_queue_depth();
         let mut entries: Vec<Entry<Event>> = Vec::new();
-        let mut choices: Vec<u32> = Vec::with_capacity(n);
-        let mut back: Vec<u32> = Vec::with_capacity(n);
-        let mut epochs: Vec<u64> = Vec::with_capacity(n);
-        let mut last_wake: Vec<u64> = Vec::with_capacity(n);
-        let mut pending = Vec::with_capacity(n);
-        let mut depth: Vec<u32> = Vec::with_capacity(n);
-        let mut rngs = Vec::with_capacity(n);
-        let mut seqs: Vec<u32> = Vec::with_capacity(n);
-        let mut incs: Vec<u32> = Vec::with_capacity(n);
-        let mut boot = Vec::with_capacity(n);
+        let mut nodes = NodeColumns::with_capacity(n);
         // Lanes own ascending contiguous ranges, so appending in lane
         // order flattens back to global node order. The aligned
         // struct-of-arrays fields flatten through plain `Vec`s and
-        // re-chunk on the collect below.
+        // re-chunk in `lay_out`.
         for mut lane in std::mem::take(&mut self.lanes) {
             debug_assert!(
                 lane.posted.is_empty()
                     && lane.outboxes.iter().chain(&lane.inbound).all(Vec::is_empty),
-                "rebalance crossed a window with undelivered mail"
+                "relayout crossed a window with undelivered mail"
             );
             entries.append(&mut lane.calendar.drain_all());
-            choices.extend(lane.choices.drain_all());
-            back.extend(lane.back.drain_all());
-            epochs.extend(lane.epochs.drain_all());
-            last_wake.extend(lane.last_wake.drain_all());
-            pending.append(&mut lane.pending);
-            depth.extend(lane.depth.drain_all());
-            rngs.append(&mut lane.rngs);
-            seqs.extend(lane.seqs.drain_all());
-            incs.extend(lane.incs.drain_all());
-            boot.append(&mut lane.boot);
+            nodes.choices.extend(lane.choices.drain_all());
+            nodes.back.extend(lane.back.drain_all());
+            nodes.epochs.extend(lane.epochs.drain_all());
+            nodes.last_wake.extend(lane.last_wake.drain_all());
+            nodes.pending.append(&mut lane.pending);
+            nodes.depth.extend(lane.depth.drain_all());
+            nodes.rngs.append(&mut lane.rngs);
+            nodes.seqs.extend(lane.seqs.drain_all());
+            nodes.incs.extend(lane.incs.drain_all());
+            nodes.boot.append(&mut lane.boot);
         }
-        let mut choices = choices.into_iter();
-        let mut back = back.into_iter();
-        let mut epochs = epochs.into_iter();
-        let mut last_wake = last_wake.into_iter();
-        let mut pending = pending.into_iter();
-        let mut depth = depth.into_iter();
-        let mut rngs = rngs.into_iter();
-        let mut seqs = seqs.into_iter();
-        let mut incs = incs.into_iter();
-        let mut boot = boot.into_iter();
+        self.lay_out(map, m, nodes, entries, depth_watermark);
+    }
+
+    /// Cuts flat per-node state into the lanes of `map` — the one
+    /// place lanes are built — and routes the pending `entries` to
+    /// their owners. `depth_watermark` is the engine-wide inbox
+    /// high-water mark so far.
+    fn lay_out(
+        &mut self,
+        map: ShardMap,
+        m: usize,
+        nodes: NodeColumns,
+        entries: Vec<Entry<Event>>,
+        depth_watermark: usize,
+    ) {
+        let lane_count = map.lanes();
+        let mut choices = nodes.choices.into_iter();
+        let mut back = nodes.back.into_iter();
+        let mut epochs = nodes.epochs.into_iter();
+        let mut last_wake = nodes.last_wake.into_iter();
+        let mut pending = nodes.pending.into_iter();
+        let mut depth = nodes.depth.into_iter();
+        let mut rngs = nodes.rngs.into_iter();
+        let mut seqs = nodes.seqs.into_iter();
+        let mut incs = nodes.incs.into_iter();
+        let mut boot = nodes.boot.into_iter();
         self.lanes = (0..lane_count)
             .map(|index| {
-                let base = new_map.base_of(index);
-                let len = new_map.end_of(index) - base;
+                let base = map.base_of(index);
+                let len = map.end_of(index) - base;
                 let lane_choices: AlignedU32s = choices.by_ref().take(len).collect();
                 let mut counts = vec![0u64; m];
                 for &c in lane_choices.iter() {
@@ -1624,7 +1626,7 @@ impl ShardedEngine {
         // The depth gauge is an engine-wide high-water mark; park it
         // on the first lane so `max_queue_depth()` keeps reporting it.
         self.lanes[0].max_queue_depth = depth_watermark;
-        self.map = new_map;
+        self.map = map;
         for entry in entries {
             let owner = self.map.shard_of(event_target(&entry.payload) as usize);
             self.lanes[owner].calendar.push(entry);
@@ -1699,9 +1701,9 @@ impl ShardedEngine {
             lane.rm = RoundMetrics::default();
         }
         // Membership transitions land at the tick boundary, processed
-        // in node order — mirroring the single-heap async path, with
-        // the join wake jitter drawn from the joining node's own
-        // stream so the draw is shard-count invariant. A departing
+        // in node order, with the join wake jitter drawn from the
+        // joining node's own stream so the draw is shard-count
+        // invariant. A departing
         // node's commitment leaves the popularity counts, its history
         // and pending attempt are wiped, and a leave bumps its
         // incarnation; a (re)joining node enters bootstrapping.
@@ -1881,7 +1883,6 @@ mod tests {
 
     #[test]
     fn scheduler_kind_displays() {
-        assert_eq!(SchedulerKind::SingleHeap.to_string(), "single-heap");
         assert_eq!(
             SchedulerKind::ShardedCalendar { shards: 4 }.to_string(),
             "sharded-calendar(4)"

@@ -63,17 +63,13 @@
 //! previous commitment), kept so a node can answer queries about the
 //! epoch a slower or faster peer is still working on.
 
-use std::collections::BinaryHeap;
-
-use rand::rngs::SmallRng;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::RngCore;
 use sociolearn_core::GroupDynamics;
 
 use crate::calendar::{ExecTuning, SchedulerKind, ShardedEngine, MAX_LOOKAHEAD};
-use crate::cast::index_u32;
 use crate::{
     DistConfig, ExecutionModel, MembershipTracker, Metrics, NodeState, ProtocolRuntime,
-    RoundMetrics, Transition, MAX_QUERY_RETRIES, NO_CHOICE,
+    RoundMetrics,
 };
 
 /// Default capacity of each node's inbox. Messages arriving at a full
@@ -163,85 +159,6 @@ pub(crate) enum Mode {
     Async(StalenessBound),
 }
 
-/// A scheduler event, shared by the single-heap scheduler and the
-/// sharded calendar engine. Node ids are `u32` to keep the heap
-/// entries small (the fleet bound of `u32::MAX` nodes is far beyond
-/// anything the simulations run).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Event {
-    /// An alive node starts stage 1 of the protocol. `inc` is the
-    /// node's incarnation at schedule time: async mode bumps a node's
-    /// incarnation when it leaves, so a wake-up scheduled before the
-    /// leave cannot fire into the rejoined node's next life (wake-ups
-    /// are the only event kind whose horizon outlives an absence —
-    /// everything else expires within one tick window). Quiesced mode
-    /// clears the schedule every tick, so the tag is inert there.
-    Wake { node: u32, inc: u32 },
-    /// A query from `from` reaches `to`'s inbox (link loss already
-    /// resolved at send time). `epoch` is the sender's local epoch at
-    /// send time — the staleness reference in async mode, ignored in
-    /// quiesced mode.
-    QueryArrive { from: u32, to: u32, epoch: u64 },
-    /// A reply carrying `option` reaches `node`'s inbox.
-    ReplyArrive { node: u32, option: u32 },
-    /// `node` processes the query from `from` that its inbox accepted
-    /// one [`DELIVER_DELAY`] earlier.
-    ///
-    /// The message rides in the event instead of a per-node FIFO: a
-    /// node schedules its own deliveries at `now + DELIVER_DELAY` with
-    /// increasing sequence numbers, so both the heap's `(at, seq)`
-    /// order and the calendar's `(at, src, seq)` order pop a node's
-    /// k-th delivery exactly when a FIFO would pop its k-th message.
-    DeliverQuery { node: u32, from: u32, epoch: u64 },
-    /// `node` processes a reply carrying `option` (see
-    /// [`Event::DeliverQuery`]).
-    DeliverReply { node: u32, option: u32 },
-    /// `node`'s query `attempt` has waited long enough; retry or fall
-    /// back unless a reply already resolved it. `epoch` pins the
-    /// timeout to the local epoch that issued the attempt, so a stale
-    /// timeout surviving into a later epoch (possible in async mode,
-    /// where the heap is never cleared) cannot fire spuriously.
-    Timeout { node: u32, attempt: u32, epoch: u64 },
-}
-
-// A message travels inside its scheduler event; carrying one must not
-// widen the heap entry or the calendar entry.
-const _: () = assert!(std::mem::size_of::<Event>() <= 24);
-
-/// A heap entry: events fire in `(at, seq)` order, so simultaneous
-/// events resolve in the deterministic order they were scheduled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Scheduled {
-    at: u64,
-    seq: u64,
-    ev: Event,
-}
-
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: `BinaryHeap` is a max-heap, we pop earliest first.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Per-node transport bookkeeping for the current epoch. This is
-/// scheduler state, not protocol state: the node's *protocol* memory
-/// is still just its committed option ([`crate::NODE_STATE_BYTES`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Pending {
-    /// The outstanding query attempt (0 = none issued yet).
-    pub(crate) attempt: u32,
-    /// Whether stage 1 has resolved this epoch (copied, explored, or
-    /// fell back) — late replies and stale timeouts are ignored.
-    pub(crate) resolved: bool,
-}
-
 /// Per-node protocol state the event-driven runtime keeps: the
 /// current commitment, the one-slot history `back` that answers
 /// epoch-nearest queries, and the local epoch counter that tags
@@ -254,11 +171,9 @@ pub const EVENT_NODE_STATE_BYTES: usize =
     2 * std::mem::size_of::<NodeState>() + std::mem::size_of::<u64>();
 
 // Compile-time bounded-memory budget: the event runtime's per-node
-// protocol state stays within 4× the advertised NODE_STATE_BYTES, and
-// the transport bookkeeping stays flat. Renegotiate here, not by
-// silently growing a struct.
+// protocol state stays within 4× the advertised NODE_STATE_BYTES.
+// Renegotiate here, not by silently growing a struct.
 const _: () = assert!(EVENT_NODE_STATE_BYTES <= 4 * crate::NODE_STATE_BYTES);
-const _: () = assert!(std::mem::size_of::<Pending>() <= 2 * crate::NODE_STATE_BYTES);
 
 /// The event-driven message-passing runtime: `N` nodes of
 /// [`crate::NODE_STATE_BYTES`] protocol state each, exchanging
@@ -267,12 +182,15 @@ const _: () = assert!(std::mem::size_of::<Pending>() <= 2 * crate::NODE_STATE_BY
 /// timeout-driven retries, with faults injected per the configured
 /// [`crate::FaultPlan`].
 ///
+/// The scheduler is the sharded calendar-queue engine: per-node-range
+/// lanes over calendar queues, one lane unless
+/// [`with_scheduler`](EventRuntime::with_scheduler) asks for more.
 /// All randomness — wake jitter, message latencies, protocol choices,
-/// and fault realizations — derives from the seed passed to
-/// [`EventRuntime::new`], so runs are exactly reproducible. Like
-/// [`Runtime`](crate::Runtime) it implements
-/// [`GroupDynamics`] and
-/// [`ProtocolRuntime`], so every harness drives the two runtimes
+/// and fault realizations — comes from per-node streams split from the
+/// seed passed to [`EventRuntime::new`], so runs are exactly
+/// reproducible and byte-identical for every shard and thread count.
+/// Like [`Runtime`](crate::Runtime) it implements [`GroupDynamics`]
+/// and [`ProtocolRuntime`], so every harness drives the two runtimes
 /// interchangeably.
 ///
 /// # Example
@@ -296,67 +214,19 @@ pub struct EventRuntime {
     cfg: DistConfig,
     queue_bound: usize,
     mode: Mode,
-    /// The root seed, kept so [`with_scheduler`](EventRuntime::with_scheduler)
-    /// can split per-node streams for the sharded engine.
-    seed: u64,
-    /// The sharded calendar engine, when
-    /// [`SchedulerKind::ShardedCalendar`] is selected; `None` runs the
-    /// original single-heap scheduler below.
-    sharded: Option<Box<ShardedEngine>>,
-    /// Multi-core execution knobs for the sharded engine — lookahead
-    /// block width, worker-thread count, and the fan-out threshold.
+    /// The calendar engine: it owns every per-node scheduler and
+    /// protocol state.
+    engine: ShardedEngine,
+    /// Multi-core execution knobs for the engine — lookahead block
+    /// width, worker-thread count, and the fan-out threshold.
     tuning: ExecTuning,
-    rng: SmallRng,
-    /// This epoch's committed option per node — the fleet's protocol
-    /// state, double-buffered with `back` in quiesced mode. In async
-    /// mode there is no double buffer: this vector always holds each
-    /// node's most recent commitment, updated in place.
-    choices: Vec<NodeState>,
-    /// Last epoch's commitments: the snapshot peers answer from in
-    /// quiesced mode. Async mode repurposes it as a one-slot history —
-    /// `back[i]` is node `i`'s commitment as of its *previous*
-    /// completed local epoch — so a responder can serve the snapshot
-    /// nearest the epoch a query asks about.
-    back: Vec<NodeState>,
     /// Crash + membership schedule with O(1) presence checks and an
     /// O(1) alive counter.
     members: MembershipTracker,
     /// Cached committed counts per option (this epoch in quiesced
-    /// mode; the current commitments in async mode, maintained
-    /// incrementally).
+    /// mode; the current commitments in async mode), synced from the
+    /// engine every tick.
     counts: Vec<u64>,
-    /// Per-node completed local epoch counters (async mode; in
-    /// quiesced mode every node is implicitly at `round`).
-    epochs: Vec<u64>,
-    /// Per-node virtual time of the last wake-up — the async cadence
-    /// anchor (unused in quiesced mode).
-    last_wake: Vec<u64>,
-    /// Virtual time already consumed by async ticks: each tick
-    /// processes one [`ASYNC_EPOCH_PERIOD`] window past this mark
-    /// (unused in quiesced mode, which owns the whole clock per tick).
-    async_clock: u64,
-    /// The event queue, keyed by `(virtual time, sequence)`. Reused
-    /// across epochs.
-    heap: BinaryHeap<Scheduled>,
-    /// Per-node inbox depth: messages accepted and not yet delivered.
-    /// The messages themselves ride in their `Deliver` events.
-    depth: Vec<u32>,
-    /// Per-node transport bookkeeping for the current epoch.
-    pending: Vec<Pending>,
-    /// Per-node incarnation counters, bumped on every leave (async
-    /// mode; see [`Event::Wake`]). Scheduler state, not protocol
-    /// state.
-    incs: Vec<u32>,
-    /// Per-node bootstrapping flags (async mode): set when a node
-    /// (re)joins, cleared when its first epoch decision lands.
-    boot: Vec<bool>,
-    /// Number of `boot` flags currently set, so the per-tick gauge is
-    /// O(1).
-    boot_count: u64,
-    /// Monotone sequence number for deterministic event tie-breaks.
-    seq: u64,
-    /// High-water mark of any inbox, across all epochs.
-    max_queue_depth: usize,
     /// Epochs completed.
     round: u64,
     metrics: Metrics,
@@ -366,49 +236,20 @@ impl EventRuntime {
     /// Boots a fleet from the uniform initialization (node `i` starts
     /// committed to option `i mod m`, matching both the in-memory
     /// dynamics and the round-synchronous runtime) with all randomness
-    /// derived from `seed` and inboxes bounded at
-    /// [`DEFAULT_QUEUE_BOUND`].
+    /// derived from `seed`, inboxes bounded at
+    /// [`DEFAULT_QUEUE_BOUND`], and a one-lane engine.
     pub fn new(cfg: DistConfig, seed: u64) -> Self {
-        let m = cfg.params().num_options();
-        let n = cfg.num_nodes();
-        let members = MembershipTracker::new(cfg.faults(), n);
-        let choices: Vec<NodeState> = (0..n)
-            .map(|i| {
-                if members.in_initial_fleet(i) {
-                    crate::uniform_start_choice(i, m)
-                } else {
-                    NO_CHOICE
-                }
-            })
-            .collect();
-        let mut counts = vec![0u64; m];
-        for &c in &choices {
-            if c != NO_CHOICE {
-                counts[c as usize] += 1;
-            }
-        }
+        let members = MembershipTracker::new(cfg.faults(), cfg.num_nodes());
+        let engine = ShardedEngine::new(&cfg, seed, 1, &members);
+        let mut counts = vec![0u64; cfg.params().num_options()];
+        engine.write_counts(&mut counts);
         EventRuntime {
             queue_bound: DEFAULT_QUEUE_BOUND,
             mode: Mode::Quiesced,
-            seed,
-            sharded: None,
+            engine,
             tuning: ExecTuning::default(),
-            rng: SmallRng::seed_from_u64(seed),
-            choices,
-            back: vec![NO_CHOICE; n],
             members,
             counts,
-            epochs: vec![0; n],
-            last_wake: vec![0; n],
-            async_clock: 0,
-            heap: BinaryHeap::new(),
-            depth: vec![0; n],
-            pending: vec![Pending::default(); n],
-            incs: vec![0; n],
-            boot: vec![false; n],
-            boot_count: 0,
-            seq: 0,
-            max_queue_depth: 0,
             round: 0,
             metrics: Metrics::default(),
             cfg,
@@ -440,87 +281,36 @@ impl EventRuntime {
         self
     }
 
-    /// Selects the scheduler that executes the event streams:
-    /// [`SchedulerKind::SingleHeap`] (the default — one global
-    /// `BinaryHeap` and one RNG stream) or
-    /// [`SchedulerKind::ShardedCalendar`] (per-node-range shards over
-    /// calendar queues with per-node RNG streams split from the root
-    /// seed; byte-identical results for any shard count, same law as
-    /// the single heap). Composes with
+    /// Sets how many lanes the calendar engine cuts the fleet into:
+    /// [`SchedulerKind::ShardedCalendar`] with `shards` per-node-range
+    /// lanes (clamped to the fleet size; the default is one). Results
+    /// are byte-identical for every shard count — the shard count only
+    /// decides how much work a dense block can spread across worker
+    /// threads. Composes with
     /// [`with_async_epochs`](EventRuntime::with_async_epochs) and
     /// [`with_queue_bound`](EventRuntime::with_queue_bound) in any
     /// order.
     ///
     /// # Panics
     ///
-    /// Panics if the runtime has already executed a tick, or if a
-    /// sharded scheduler is requested with zero shards.
+    /// Panics if the runtime has already executed a tick, or if zero
+    /// shards are requested.
     pub fn with_scheduler(mut self, kind: SchedulerKind) -> Self {
         assert_eq!(
             self.round, 0,
             "scheduler must be chosen before the first tick"
         );
-        let n = self.cfg.num_nodes();
-        let m = self.cfg.params().num_options();
-        self.sharded = match kind {
-            SchedulerKind::SingleHeap => {
-                // Rebuild the (round-0) single-heap per-node state in
-                // case a sharded engine shrank it away below.
-                self.choices = (0..n)
-                    .map(|i| {
-                        if self.members.in_initial_fleet(i) {
-                            crate::uniform_start_choice(i, m)
-                        } else {
-                            NO_CHOICE
-                        }
-                    })
-                    .collect();
-                self.back = vec![NO_CHOICE; n];
-                self.epochs = vec![0; n];
-                self.last_wake = vec![0; n];
-                self.pending = vec![Pending::default(); n];
-                self.incs = vec![0; n];
-                self.boot = vec![false; n];
-                self.boot_count = 0;
-                self.depth = vec![0; n];
-                None
-            }
-            SchedulerKind::ShardedCalendar { shards } => {
-                assert!(shards > 0, "shard count must be at least 1");
-                // The engine owns all per-node state; free the
-                // single-heap copies so fleet-scale deployments don't
-                // carry both (`counts` stays — it is the cache every
-                // accessor reads, synced from the engine each tick).
-                self.choices = Vec::new();
-                self.back = Vec::new();
-                self.epochs = Vec::new();
-                self.last_wake = Vec::new();
-                self.pending = Vec::new();
-                self.incs = Vec::new();
-                self.boot = Vec::new();
-                self.boot_count = 0;
-                self.depth = Vec::new();
-                self.heap = BinaryHeap::new();
-                Some(Box::new(ShardedEngine::new(
-                    &self.cfg,
-                    self.seed,
-                    shards,
-                    &self.members,
-                )))
-            }
-        };
+        let SchedulerKind::ShardedCalendar { shards } = kind;
+        assert!(shards > 0, "shard count must be at least 1");
+        self.engine.repartition(shards, &self.members);
         self
     }
 
-    /// The scheduler executing this runtime. For sharded schedulers
-    /// the reported shard count is the effective one (clamped to the
-    /// fleet size).
+    /// The scheduler executing this runtime, with the effective shard
+    /// count (clamped to the fleet size).
     pub fn scheduler(&self) -> SchedulerKind {
-        match &self.sharded {
-            None => SchedulerKind::SingleHeap,
-            Some(engine) => SchedulerKind::ShardedCalendar {
-                shards: engine.num_shards(),
-            },
+        SchedulerKind::ShardedCalendar {
+            shards: self.engine.num_shards(),
         }
     }
 
@@ -537,21 +327,17 @@ impl EventRuntime {
         self
     }
 
-    /// Sets the sharded engine's **lookahead block width** `K`: each
-    /// shard lane advances through `K` whole virtual-time windows
-    /// before the cross-shard mailboxes drain at a barrier, cutting
-    /// the barrier count by `K×` and giving worker threads `K` windows
-    /// of work per fan-out. Messages due inside a block are deferred
-    /// to the block boundary (`max(now + latency, block end)`), a
+    /// Sets the engine's **lookahead block width** `K`: each shard
+    /// lane advances through `K` whole virtual-time windows before the
+    /// cross-shard mailboxes drain at a barrier, cutting the barrier
+    /// count by `K×` and giving worker threads `K` windows of work per
+    /// fan-out. Messages due inside a block are deferred to the block
+    /// boundary (`max(now + latency, block end)`), a
     /// partition-independent rule, so for a fixed `K` results stay
     /// byte-identical across shard counts and thread counts. `K = 1`
-    /// (the default) is exactly the classic per-window barrier —
-    /// existing seeds replay bit-for-bit; larger `K` is a different
-    /// (equally valid) trajectory of the same protocol law.
-    ///
-    /// Requires the [`SchedulerKind::ShardedCalendar`] scheduler;
-    /// [`tick`](EventRuntime::tick) panics if `K > 1` is combined with
-    /// the single-heap scheduler.
+    /// (the default) is exactly the classic per-window barrier; larger
+    /// `K` is a different (equally valid) trajectory of the same
+    /// protocol law.
     ///
     /// # Panics
     ///
@@ -570,13 +356,12 @@ impl EventRuntime {
         self
     }
 
-    /// Sets the worker-thread count for dense lookahead blocks in the
-    /// sharded engine: `0` (the default) sizes the pool to the
-    /// machine's available parallelism, `1` always sweeps lanes
-    /// in-thread, and `t > 1` uses a persistent pool of `t` threads.
-    /// Purely a cost knob — results are byte-identical for every
-    /// value. Ignored by the single-heap scheduler (one heap has no
-    /// lanes to fan out).
+    /// Sets the worker-thread count for dense lookahead blocks: `0`
+    /// (the default) sizes the pool to the machine's available
+    /// parallelism, `1` always sweeps lanes in-thread, and `t > 1`
+    /// uses a persistent pool of `t` threads once the engine has more
+    /// than one lane to fan out. Purely a cost knob — results are
+    /// byte-identical for every value.
     ///
     /// # Panics
     ///
@@ -661,7 +446,7 @@ impl EventRuntime {
     /// The deepest any inbox has ever been — by construction never
     /// more than [`queue_bound`](EventRuntime::queue_bound).
     pub fn max_queue_depth(&self) -> usize {
-        self.max_queue_depth
+        self.engine.max_queue_depth()
     }
 
     /// Messages waiting in `node`'s inbox: accepted, and their
@@ -675,10 +460,7 @@ impl EventRuntime {
     /// Panics if `node >= num_nodes()`.
     pub fn inbox_depth(&self, node: usize) -> usize {
         assert!(node < self.cfg.num_nodes(), "node out of range");
-        match &self.sharded {
-            None => self.depth[node] as usize,
-            Some(engine) => engine.depth_of(node),
-        }
+        self.engine.depth_of(node)
     }
 
     /// Whether the scheduler runs fully-async overlapping epochs.
@@ -704,10 +486,9 @@ impl EventRuntime {
     /// Panics if `node >= num_nodes()`.
     pub fn local_epoch(&self, node: usize) -> u64 {
         assert!(node < self.cfg.num_nodes(), "node out of range");
-        match (self.mode, &self.sharded) {
-            (Mode::Quiesced, _) => self.round,
-            (Mode::Async(_), None) => self.epochs[node],
-            (Mode::Async(_), Some(engine)) => engine.epoch_of(node),
+        match self.mode {
+            Mode::Quiesced => self.round,
+            Mode::Async(_) => self.engine.epoch_of(node),
         }
     }
 
@@ -715,171 +496,11 @@ impl EventRuntime {
     /// fleet's current epoch overlap. Always 0 in quiesced mode (and
     /// for an all-crashed fleet).
     pub fn epoch_spread(&self) -> u64 {
-        if !self.is_async() {
-            return 0;
-        }
-        if let Some(engine) = &self.sharded {
-            return engine.epoch_spread(&self.members);
-        }
-        let mut lo = u64::MAX;
-        let mut hi = 0u64;
-        let mut any = false;
-        for (i, &e) in self.epochs.iter().enumerate() {
-            if self.members.is_present(i) {
-                any = true;
-                lo = lo.min(e);
-                hi = hi.max(e);
-            }
-        }
-        if any {
-            hi - lo
+        if self.is_async() {
+            self.engine.epoch_spread(&self.members)
         } else {
             0
         }
-    }
-
-    /// Pushes an event onto the schedule.
-    fn push(&mut self, at: u64, ev: Event) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Scheduled { at, seq, ev });
-    }
-
-    /// One latency draw for a message about to be sent.
-    fn latency(&mut self) -> u64 {
-        self.rng.gen_range(1..=MAX_MESSAGE_LATENCY)
-    }
-
-    /// Whether a message is lost on the link, per the fault plan.
-    fn link_drops(&mut self) -> bool {
-        let p = self.cfg.faults().drop_prob();
-        p > 0.0 && self.rng.gen_bool(p)
-    }
-
-    /// Offers `node` a message; `deliver` is its `Deliver` event. On
-    /// success the inbox grows by one and the event is scheduled, on
-    /// overflow the message is dropped (backpressure).
-    fn enqueue(&mut self, node: u32, deliver: Event, now: u64, rm: &mut RoundMetrics) {
-        let depth = &mut self.depth[node as usize];
-        if *depth as usize >= self.queue_bound {
-            rm.queue_drops += 1;
-            return;
-        }
-        *depth += 1;
-        self.max_queue_depth = self.max_queue_depth.max(*depth as usize);
-        self.push(now + DELIVER_DELAY, deliver);
-    }
-
-    /// Takes one delivered message off `node`'s inbox.
-    fn dequeue(&mut self, node: u32) {
-        let depth = &mut self.depth[node as usize];
-        debug_assert!(*depth > 0, "delivery without a queued message");
-        *depth -= 1;
-    }
-
-    /// Resolves node `i`'s stage 1 with `considered` and runs stage 2
-    /// (adopt with the quality-dependent probability, else sit out).
-    fn decide(&mut self, node: u32, considered: u32, rewards: &[bool], rm: &mut RoundMetrics) {
-        let i = node as usize;
-        debug_assert!(!self.pending[i].resolved, "node resolved twice");
-        self.pending[i].resolved = true;
-        let adopt_p = self
-            .cfg
-            .params()
-            .adopt_probability(rewards[considered as usize]);
-        if self.rng.gen_bool(adopt_p) {
-            self.choices[i] = considered;
-            self.counts[considered as usize] += 1;
-            rm.committed += 1;
-        }
-    }
-
-    /// Issues query `attempt` for `node` (or the uniform fallback once
-    /// the retry budget is spent). `attempt == 1` is the stage-1 entry
-    /// point and may take the `µ`-exploration branch instead.
-    fn start_attempt(
-        &mut self,
-        node: u32,
-        attempt: u32,
-        now: u64,
-        rewards: &[bool],
-        rm: &mut RoundMetrics,
-    ) {
-        let i = node as usize;
-        let n = self.cfg.num_nodes();
-        let m = self.cfg.params().num_options();
-        if attempt == 1 {
-            let mu = self.cfg.params().mu();
-            if self.rng.gen_bool(mu) {
-                rm.explorations += 1;
-                let considered = index_u32(self.rng.gen_range(0..m));
-                self.decide(node, considered, rewards, rm);
-                return;
-            }
-        }
-        if attempt > MAX_QUERY_RETRIES || n == 1 {
-            // Retry budget spent (or no peers to ask at all): uniform
-            // fallback, exactly as in the round-synchronous runtime.
-            rm.fallbacks += 1;
-            let considered = index_u32(self.rng.gen_range(0..m));
-            self.decide(node, considered, rewards, rm);
-            return;
-        }
-        self.pending[i].attempt = attempt;
-        rm.queries_sent += 1;
-        // Ask a uniformly random *other* node what it used last epoch.
-        let mut peer = self.rng.gen_range(0..n - 1);
-        if peer >= i {
-            peer += 1;
-        }
-        // The retry clock starts now, reply or no reply. (Quiesced
-        // mode clears the heap every tick, so the epoch tag is inert.)
-        self.push(
-            now + RETRY_TIMEOUT,
-            Event::Timeout {
-                node,
-                attempt,
-                epoch: 0,
-            },
-        );
-        // The query must survive the link to be scheduled for arrival.
-        if !self.link_drops() {
-            let at = now + self.latency();
-            self.push(
-                at,
-                Event::QueryArrive {
-                    from: node,
-                    to: index_u32(peer),
-                    epoch: 0,
-                },
-            );
-        }
-    }
-
-    /// `node` handles the query from `from` its inbox just delivered.
-    fn deliver_query(&mut self, node: u32, from: u32, now: u64) {
-        self.dequeue(node);
-        // Answer with the option committed last epoch; a node that sat
-        // out stays silent and the querier's timeout drives the retry.
-        let option = self.back[node as usize];
-        if option != NO_CHOICE && !self.link_drops() {
-            let at = now + self.latency();
-            self.push(at, Event::ReplyArrive { node: from, option });
-        }
-    }
-
-    /// `node` handles the reply carrying `option` its inbox just
-    /// delivered.
-    fn deliver_reply(&mut self, node: u32, option: u32, rewards: &[bool], rm: &mut RoundMetrics) {
-        self.dequeue(node);
-        if self.pending[node as usize].resolved {
-            // A late duplicate (cannot normally happen: the timeout
-            // window exceeds the worst-case round trip), ignored for
-            // safety.
-            return;
-        }
-        rm.replies_received += 1;
-        self.decide(node, option, rewards, rm);
     }
 
     /// Executes one scheduler round against the fresh reward signals,
@@ -905,27 +526,9 @@ impl EventRuntime {
             self.cfg.params().num_options(),
             "rewards length must equal the number of options"
         );
-        if self.sharded.is_some() {
-            return self.tick_sharded(rewards);
-        }
-        assert!(
-            self.tuning.lookahead == 1,
-            "lookahead > 1 requires SchedulerKind::ShardedCalendar"
-        );
-        match self.mode {
-            Mode::Quiesced => self.tick_quiesced(rewards),
-            Mode::Async(bound) => self.tick_async(rewards, bound),
-        }
-    }
-
-    /// One tick routed through the sharded calendar engine. The
-    /// engine owns the per-node state; this wrapper keeps the
-    /// runtime-level clocks, counters, and count cache in sync.
-    fn tick_sharded(&mut self, rewards: &[bool]) -> RoundMetrics {
         self.round += 1;
         let t = self.round;
-        let engine = self.sharded.as_mut().expect("sharded scheduler selected");
-        let rm = engine.tick(
+        let rm = self.engine.tick(
             self.mode,
             &self.cfg,
             self.queue_bound,
@@ -934,478 +537,7 @@ impl EventRuntime {
             rewards,
             &self.tuning,
         );
-        engine.write_counts(&mut self.counts);
-        self.max_queue_depth = self.max_queue_depth.max(engine.max_queue_depth());
-        self.members.advance_to(t + 1);
-        self.metrics.absorb(&rm);
-        rm
-    }
-
-    /// One epoch run to quiescence (the default mode).
-    fn tick_quiesced(&mut self, rewards: &[bool]) -> RoundMetrics {
-        self.round += 1;
-        let t = self.round;
-        let n = self.cfg.num_nodes();
-
-        let mut rm = RoundMetrics {
-            round: t,
-            ..RoundMetrics::default()
-        };
-
-        // Swap buffers: `back` now holds last epoch's commitments (the
-        // queryable snapshot); `choices` is rewritten over the epoch.
-        std::mem::swap(&mut self.choices, &mut self.back);
-        self.counts.fill(0);
-        self.heap.clear();
-        self.seq = 0;
-        self.depth.fill(0);
-
-        // Membership transitions land at the epoch boundary. With the
-        // barrier, every (re)join bootstraps and resolves within this
-        // very epoch, so the gauge is just the inflow.
-        for &(_, kind) in self.members.recent() {
-            match kind {
-                Transition::Join => rm.joins += 1,
-                Transition::Leave => rm.leaves += 1,
-                Transition::Rejoin => rm.rejoins += 1,
-                Transition::Crash => {}
-            }
-        }
-        rm.bootstrapping = rm.joins + rm.rejoins;
-
-        // Present nodes wake at jittered times; dead or departed nodes
-        // are resolved (and silent) from the start. A node that just
-        // (re)joined has `back == NO_CHOICE` (absent epochs write
-        // NO_CHOICE) and bootstraps through the ordinary query path.
-        for i in 0..n {
-            self.choices[i] = NO_CHOICE;
-            if self.members.is_present(i) {
-                rm.alive += 1;
-                self.pending[i] = Pending::default();
-                let at = self.rng.gen_range(0..WAKE_SPREAD);
-                self.push(
-                    at,
-                    Event::Wake {
-                        node: index_u32(i),
-                        inc: 0,
-                    },
-                );
-            } else {
-                // An absent node answers nothing: its snapshot slot is
-                // cleared so a query landing here finds no commitment.
-                self.back[i] = NO_CHOICE;
-                self.pending[i] = Pending {
-                    attempt: 0,
-                    resolved: true,
-                };
-            }
-        }
-        debug_assert_eq!(rm.alive, self.members.alive(), "alive counter drifted");
-
-        while let Some(Scheduled { at, ev, .. }) = self.heap.pop() {
-            match ev {
-                Event::Wake { node, .. } => self.start_attempt(node, 1, at, rewards, &mut rm),
-                Event::QueryArrive { from, to, epoch } => {
-                    // An absent peer (crashed or departed) swallows the
-                    // query; the querier's timeout drives the retry.
-                    if self.members.is_present(to as usize) {
-                        let deliver = Event::DeliverQuery {
-                            node: to,
-                            from,
-                            epoch,
-                        };
-                        self.enqueue(to, deliver, at, &mut rm);
-                    }
-                }
-                Event::ReplyArrive { node, option } => {
-                    self.enqueue(node, Event::DeliverReply { node, option }, at, &mut rm);
-                }
-                Event::DeliverQuery { node, from, .. } => self.deliver_query(node, from, at),
-                Event::DeliverReply { node, option } => {
-                    self.deliver_reply(node, option, rewards, &mut rm);
-                }
-                Event::Timeout {
-                    node,
-                    attempt,
-                    epoch: _,
-                } => {
-                    let p = self.pending[node as usize];
-                    if !p.resolved && p.attempt == attempt {
-                        self.start_attempt(node, attempt + 1, at, rewards, &mut rm);
-                    }
-                }
-            }
-        }
-        debug_assert!(
-            self.pending.iter().all(|p| p.resolved),
-            "epoch ended with unresolved nodes"
-        );
-
-        self.members.advance_to(t + 1);
-        self.metrics.absorb(&rm);
-        rm
-    }
-
-    /// Replaces node `i`'s current commitment, keeping the running
-    /// per-option counts in sync (async mode maintains `counts`
-    /// incrementally instead of rebuilding it every epoch).
-    fn set_commit(&mut self, i: usize, new: NodeState) {
-        let old = self.choices[i];
-        if old != NO_CHOICE {
-            self.counts[old as usize] -= 1;
-        }
-        if new != NO_CHOICE {
-            self.counts[new as usize] += 1;
-        }
-        self.choices[i] = new;
-    }
-
-    /// Async stage 2: adopt or sit out, complete the local epoch, and
-    /// schedule the next wake-up on the node's own cadence — the
-    /// moment the barrier-free design hinges on: nothing here waits
-    /// for the rest of the fleet.
-    fn decide_async(
-        &mut self,
-        node: u32,
-        considered: u32,
-        now: u64,
-        rewards: &[bool],
-        rm: &mut RoundMetrics,
-    ) {
-        let i = node as usize;
-        debug_assert!(!self.pending[i].resolved, "node resolved twice");
-        self.pending[i].resolved = true;
-        if self.boot[i] {
-            // First epoch decision after a (re)join: the bootstrap is
-            // over, whatever stage 1 produced.
-            self.boot[i] = false;
-            self.boot_count -= 1;
-        }
-        let adopt_p = self
-            .cfg
-            .params()
-            .adopt_probability(rewards[considered as usize]);
-        // The commitment being superseded becomes the one-slot
-        // history peers can still be served from.
-        self.back[i] = self.choices[i];
-        if self.rng.gen_bool(adopt_p) {
-            self.set_commit(i, considered);
-            rm.committed += 1;
-        } else {
-            self.set_commit(i, NO_CHOICE);
-        }
-        self.epochs[i] += 1;
-        // Next local epoch: one period after the last wake-up, or
-        // immediately (plus jitter) if this epoch overran the period —
-        // that overrun is how slow nodes drift behind their peers
-        // (they catch back up by running epochs back-to-back once the
-        // retry storm passes).
-        let cadence = self.last_wake[i] + ASYNC_EPOCH_PERIOD;
-        let at = cadence.max(now + 1) + self.rng.gen_range(0..ASYNC_WAKE_JITTER);
-        self.push(
-            at,
-            Event::Wake {
-                node,
-                inc: self.incs[i],
-            },
-        );
-    }
-
-    /// Async counterpart of [`start_attempt`](EventRuntime::start_attempt):
-    /// queries and timeouts are tagged with the local epoch that
-    /// issued them, because the heap is never cleared and an abandoned
-    /// timeout may surface epochs later.
-    ///
-    /// Deliberately mirrors the quiesced path stage for stage
-    /// (µ-branch, retry budget, peer pick, timeout clock, link drop)
-    /// rather than sharing code with it: the two must make the same
-    /// protocol decisions in the same RNG order for the cross-mode
-    /// law-equivalence tests to hold, so any change here must be
-    /// mirrored in `start_attempt` and vice versa.
-    fn start_attempt_async(
-        &mut self,
-        node: u32,
-        attempt: u32,
-        now: u64,
-        rewards: &[bool],
-        rm: &mut RoundMetrics,
-    ) {
-        let i = node as usize;
-        let n = self.cfg.num_nodes();
-        let m = self.cfg.params().num_options();
-        if attempt == 1 {
-            let mu = self.cfg.params().mu();
-            if self.rng.gen_bool(mu) {
-                rm.explorations += 1;
-                let considered = index_u32(self.rng.gen_range(0..m));
-                self.decide_async(node, considered, now, rewards, rm);
-                return;
-            }
-        }
-        if attempt > MAX_QUERY_RETRIES || n == 1 {
-            rm.fallbacks += 1;
-            let considered = index_u32(self.rng.gen_range(0..m));
-            self.decide_async(node, considered, now, rewards, rm);
-            return;
-        }
-        self.pending[i].attempt = attempt;
-        rm.queries_sent += 1;
-        let mut peer = self.rng.gen_range(0..n - 1);
-        if peer >= i {
-            peer += 1;
-        }
-        let epoch = self.epochs[i] + 1;
-        self.push(
-            now + RETRY_TIMEOUT,
-            Event::Timeout {
-                node,
-                attempt,
-                epoch,
-            },
-        );
-        if !self.link_drops() {
-            let at = now + self.latency();
-            self.push(
-                at,
-                Event::QueryArrive {
-                    from: node,
-                    to: index_u32(peer),
-                    epoch,
-                },
-            );
-        }
-    }
-
-    /// Async counterpart of [`deliver_query`](EventRuntime::deliver_query):
-    /// peers answer from their *latest* commitment (there is no
-    /// previous-epoch snapshot without a barrier), and a responder
-    /// whose information is staler than the bound withholds its reply.
-    fn deliver_query_async(
-        &mut self,
-        node: u32,
-        from: u32,
-        epoch: u64,
-        now: u64,
-        rm: &mut RoundMetrics,
-        bound: StalenessBound,
-    ) {
-        self.dequeue(node);
-        let i = node as usize;
-        // The querier at local epoch `e` would, under synchronized
-        // execution, copy information committed at epoch `e - 1`.
-        // Serve the snapshot nearest that epoch: the latest commitment
-        // if the responder is at or behind the requested epoch
-        // (staleness = the gap), else the one-slot history (a
-        // responder that already completed the requested epoch still
-        // holds what it committed then; one that raced further ahead
-        // serves the oldest it has — fresher than asked, never stale).
-        // Withhold the reply when the served information is staler
-        // than the bound, and let the querier's timeout drive its
-        // retry.
-        let want = epoch.saturating_sub(1);
-        let r = self.epochs[i];
-        let (option, stale) = if want >= r {
-            (self.choices[i], want - r)
-        } else {
-            (self.back[i], 0)
-        };
-        // Nothing to report after sitting that epoch out.
-        if option == NO_CHOICE {
-            return;
-        }
-        if !bound.allows(stale) {
-            rm.stale_replies += 1;
-            return;
-        }
-        if !self.link_drops() {
-            let at = now + self.latency();
-            self.push(at, Event::ReplyArrive { node: from, option });
-        }
-    }
-
-    /// Async counterpart of [`deliver_reply`](EventRuntime::deliver_reply).
-    fn deliver_reply_async(
-        &mut self,
-        node: u32,
-        option: u32,
-        now: u64,
-        rewards: &[bool],
-        rm: &mut RoundMetrics,
-    ) {
-        self.dequeue(node);
-        if self.pending[node as usize].resolved {
-            // A late duplicate (cannot normally happen: a delivered
-            // reply always beats its timeout).
-            return;
-        }
-        rm.replies_received += 1;
-        self.decide_async(node, option, now, rewards, rm);
-    }
-
-    /// One fully-async tick: advance the scheduler through exactly one
-    /// [`ASYNC_EPOCH_PERIOD`] window of virtual time. No barrier of
-    /// any kind — a healthy node completes about one local epoch per
-    /// window on its own cadence, a node mired in retry timeouts
-    /// completes less than one and genuinely falls behind the fleet
-    /// (catching up later by running epochs back-to-back), and
-    /// in-flight messages, pending timeouts, and future wake-ups all
-    /// survive into the next tick.
-    fn tick_async(&mut self, rewards: &[bool], bound: StalenessBound) -> RoundMetrics {
-        self.round += 1;
-        let t = self.round;
-        let n = self.cfg.num_nodes();
-        let mut rm = RoundMetrics {
-            round: t,
-            ..RoundMetrics::default()
-        };
-
-        // Membership transitions land at the tick boundary, processed
-        // in node order (the tracker's timeline order) so every
-        // scheduler realizes the same sequence. A departing node's
-        // commitment leaves the popularity counts, its history and
-        // pending attempt are wiped (a rejoiner remembers nothing),
-        // and a leave bumps its incarnation so wake-ups scheduled in
-        // its old life die on arrival. A (re)joining node enters
-        // bootstrapping and gets a jittered boot wake-up; everything
-        // after that is the ordinary protocol.
-        if self.members.any_scheduled() && !self.members.recent().is_empty() {
-            let recent: Vec<(u32, Transition)> = self.members.recent().to_vec();
-            for &(node, kind) in &recent {
-                let i = node as usize;
-                match kind {
-                    Transition::Leave | Transition::Crash => {
-                        if kind == Transition::Leave {
-                            rm.leaves += 1;
-                            self.incs[i] = self.incs[i].wrapping_add(1);
-                        }
-                        if self.choices[i] != NO_CHOICE {
-                            self.set_commit(i, NO_CHOICE);
-                        }
-                        self.back[i] = NO_CHOICE;
-                        self.pending[i] = Pending {
-                            attempt: 0,
-                            resolved: true,
-                        };
-                        if self.boot[i] {
-                            self.boot[i] = false;
-                            self.boot_count -= 1;
-                        }
-                    }
-                    Transition::Join | Transition::Rejoin => {
-                        if kind == Transition::Join {
-                            rm.joins += 1;
-                        } else {
-                            rm.rejoins += 1;
-                        }
-                        if !self.boot[i] {
-                            self.boot[i] = true;
-                            self.boot_count += 1;
-                        }
-                        // The t == 1 seeding loop below covers nodes
-                        // present from the start; later (re)joins
-                        // schedule their own boot wake here.
-                        if t > 1 {
-                            let at = self.async_clock + self.rng.gen_range(0..WAKE_SPREAD);
-                            self.push(
-                                at,
-                                Event::Wake {
-                                    node,
-                                    inc: self.incs[i],
-                                },
-                            );
-                        }
-                    }
-                }
-            }
-        }
-        rm.alive = self.members.alive();
-        rm.bootstrapping = self.boot_count;
-
-        // The very first tick seeds every node's epoch loop; from then
-        // on each node perpetually re-schedules its own wake-ups.
-        if t == 1 {
-            for i in 0..n {
-                if self.members.is_present(i) {
-                    let at = self.rng.gen_range(0..WAKE_SPREAD);
-                    self.push(
-                        at,
-                        Event::Wake {
-                            node: index_u32(i),
-                            inc: self.incs[i],
-                        },
-                    );
-                }
-            }
-        }
-
-        let window_end = self.async_clock + ASYNC_EPOCH_PERIOD;
-        while self
-            .heap
-            .peek()
-            .is_some_and(|scheduled| scheduled.at < window_end)
-        {
-            let Scheduled { at, ev, .. } = self.heap.pop().expect("peeked entry");
-            match ev {
-                Event::Wake { node, inc } => {
-                    let i = node as usize;
-                    // The incarnation tag kills wake-ups scheduled
-                    // before a leave: they are the only events whose
-                    // horizon (~WAKE_SPREAD + ASYNC_EPOCH_PERIOD)
-                    // outlives a one-round absence.
-                    if self.members.is_present(i) && inc == self.incs[i] {
-                        self.pending[i] = Pending::default();
-                        self.last_wake[i] = at;
-                        self.start_attempt_async(node, 1, at, rewards, &mut rm);
-                    }
-                }
-                Event::QueryArrive { from, to, epoch } => {
-                    if self.members.is_present(to as usize) {
-                        let deliver = Event::DeliverQuery {
-                            node: to,
-                            from,
-                            epoch,
-                        };
-                        self.enqueue(to, deliver, at, &mut rm);
-                    }
-                }
-                Event::ReplyArrive { node, option } => {
-                    if self.members.is_present(node as usize) {
-                        self.enqueue(node, Event::DeliverReply { node, option }, at, &mut rm);
-                    }
-                }
-                // Mail already in the inbox of a node that has since
-                // left or crashed is consumed unread, keeping
-                // deliveries 1:1 with enqueues even for the dead.
-                Event::DeliverQuery { node, .. } | Event::DeliverReply { node, .. }
-                    if !self.members.is_present(node as usize) =>
-                {
-                    self.dequeue(node);
-                }
-                Event::DeliverQuery { node, from, epoch } => {
-                    self.deliver_query_async(node, from, epoch, at, &mut rm, bound);
-                }
-                Event::DeliverReply { node, option } => {
-                    self.deliver_reply_async(node, option, at, rewards, &mut rm);
-                }
-                Event::Timeout {
-                    node,
-                    attempt,
-                    epoch,
-                } => {
-                    let i = node as usize;
-                    if self.members.is_present(i) {
-                        let p = self.pending[i];
-                        // The epoch tag rejects timeouts abandoned by
-                        // an earlier local epoch.
-                        if !p.resolved && p.attempt == attempt && self.epochs[i] + 1 == epoch {
-                            self.start_attempt_async(node, attempt + 1, at, rewards, &mut rm);
-                        }
-                    }
-                }
-            }
-        }
-        self.async_clock = window_end;
-
+        self.engine.write_counts(&mut self.counts);
         self.members.advance_to(t + 1);
         self.metrics.absorb(&rm);
         rm
@@ -1482,21 +614,20 @@ impl ProtocolRuntime for EventRuntime {
     }
 
     fn write_shard_loads(&self, out: &mut Vec<usize>) {
-        match &self.sharded {
-            Some(engine) => engine.write_shard_loads(&self.members, out),
-            None => out.push(self.alive_count()),
-        }
+        self.engine.write_shard_loads(&self.members, out);
     }
 
     fn shard_rebalances(&self) -> u64 {
-        self.sharded.as_ref().map_or(0, |e| e.rebalances())
+        self.engine.rebalances()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FaultPlan;
+    use crate::{FaultPlan, MAX_QUERY_RETRIES};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
     use sociolearn_core::Params;
 
     fn params() -> Params {
@@ -1960,10 +1091,27 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "lookahead > 1 requires SchedulerKind::ShardedCalendar")]
-    fn single_heap_tick_rejects_lookahead() {
-        let mut net = EventRuntime::new(DistConfig::new(params(), 8), 1).with_lookahead(2);
-        net.tick(&[true, false]);
+    fn lookahead_runs_on_the_default_engine() {
+        // K > 1 is valid on one lane, and the one-lane trajectory is
+        // the one every shard count reproduces.
+        for async_mode in [false, true] {
+            let make = || {
+                let net = EventRuntime::new(DistConfig::new(params(), 40), 3);
+                if async_mode {
+                    net.with_async_epochs(StalenessBound::Epochs(1))
+                } else {
+                    net
+                }
+            };
+            let mut plain = make().with_lookahead(2);
+            let mut rms = Vec::new();
+            for t in 0..20 {
+                rms.push(plain.tick(&[t % 2 == 0, t % 3 == 0]));
+            }
+            let sharded = drive_tuned(make, 4, 2, 2, 20);
+            assert_eq!(rms, sharded.1, "async={async_mode}");
+            assert_eq!(EventRuntime::metrics(&plain), sharded.2);
+        }
     }
 
     #[test]
@@ -2049,7 +1197,10 @@ mod tests {
     #[test]
     fn sharded_scheduler_reports_effective_shard_count() {
         let net = EventRuntime::new(DistConfig::new(params(), 4), 1);
-        assert_eq!(net.scheduler(), SchedulerKind::SingleHeap);
+        assert_eq!(
+            net.scheduler(),
+            SchedulerKind::ShardedCalendar { shards: 1 }
+        );
         let sharded = net.with_scheduler(SchedulerKind::ShardedCalendar { shards: 2 });
         assert_eq!(
             sharded.scheduler(),
@@ -2073,9 +1224,12 @@ mod tests {
         );
         let rm = awkward.tick(&[true, false]);
         assert_eq!(rm.alive, 9);
-        // Selecting the single heap again is a no-op round trip.
-        let back = tiny.with_scheduler(SchedulerKind::SingleHeap);
-        assert_eq!(back.scheduler(), SchedulerKind::SingleHeap);
+        // Going back to one shard is a round trip.
+        let back = tiny.with_scheduler(SchedulerKind::ShardedCalendar { shards: 1 });
+        assert_eq!(
+            back.scheduler(),
+            SchedulerKind::ShardedCalendar { shards: 1 }
+        );
     }
 
     #[test]
@@ -2321,13 +1475,13 @@ mod tests {
     }
 
     #[test]
-    fn rolling_restart_matches_between_schedulers_in_law_and_counters() {
-        // The two schedulers draw from different RNG streams, so only
-        // the deterministic membership arithmetic must agree exactly.
-        let run = |kind: SchedulerKind| {
+    fn rolling_restart_cycles_every_node_through_leave_and_rejoin() {
+        // Only the deterministic membership arithmetic is checked, and
+        // it must not depend on the shard count.
+        let run = |shards: usize| {
             let faults = FaultPlan::none().rolling_restart(8, 4);
             let mut net = EventRuntime::new(DistConfig::new(params(), 32).with_faults(faults), 31)
-                .with_scheduler(kind);
+                .with_scheduler(SchedulerKind::ShardedCalendar { shards });
             let mut alive = Vec::new();
             for _ in 0..24 {
                 alive.push(net.tick(&[true, false]).alive);
@@ -2337,14 +1491,10 @@ mod tests {
                 (m.leaves, m.rejoins, m.joins)
             })
         };
-        let single = run(SchedulerKind::SingleHeap);
-        let sharded = run(SchedulerKind::ShardedCalendar { shards: 4 });
-        assert_eq!(single, sharded);
-        assert_eq!(single.1, (32, 32, 0), "every node left and came back");
-        assert!(
-            *single.0.iter().min().unwrap() >= 24,
-            "too many down at once"
-        );
+        let one = run(1);
+        assert_eq!(one, run(4));
+        assert_eq!(one.1, (32, 32, 0), "every node left and came back");
+        assert!(*one.0.iter().min().unwrap() >= 24, "too many down at once");
     }
 
     #[test]
@@ -2352,7 +1502,7 @@ mod tests {
         // Per quiesced epoch: at most MAX_QUERY_RETRIES queries per
         // present node, and never more replies than queries.
         for kind in [
-            SchedulerKind::SingleHeap,
+            SchedulerKind::ShardedCalendar { shards: 1 },
             SchedulerKind::ShardedCalendar { shards: 4 },
         ] {
             let mut net = EventRuntime::new(

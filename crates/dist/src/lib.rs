@@ -68,14 +68,13 @@
 //!   study convergence under staleness à la Su–Zubeldia–Lynch
 //!   (arXiv:1802.08159).
 //!
-//! Orthogonally to the execution model, the event-driven runtime can
-//! run on either of two **schedulers**
-//! ([`EventRuntime::with_scheduler`]): the default
-//! [`SchedulerKind::SingleHeap`] (one global `BinaryHeap`), or the
-//! [`SchedulerKind::ShardedCalendar`] engine — per-node-range shards
-//! over O(1) [`Calendar`] queues with per-node RNG streams, built for
-//! fleet scale. The two schedulers agree in law, and the sharded
-//! engine's results are byte-identical across shard counts.
+//! Both event-driven models run on one **scheduler**, the sharded
+//! calendar engine: per-node-range lanes over O(1) [`Calendar`]
+//! queues with per-node RNG streams, one lane by default and
+//! [`SchedulerKind::ShardedCalendar`] lanes via
+//! [`EventRuntime::with_scheduler`] for fleet scale. Its results are
+//! byte-identical across shard and worker-thread counts (for a fixed
+//! lookahead), and agree in law with the round-synchronous runtime.
 //!
 //! # Example
 //!

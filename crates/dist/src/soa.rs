@@ -40,7 +40,9 @@ macro_rules! aligned_vec {
         }
 
         impl $name {
-            /// A vector of `len` copies of `fill`.
+            /// A vector of `len` copies of `fill` (the engine builds its
+            /// lanes by collecting; tests build fixtures with this).
+            #[cfg(test)]
             pub(crate) fn with_len(len: usize, fill: $elem) -> Self {
                 let mut v = Self::default();
                 v.resize(len, fill);
@@ -64,6 +66,7 @@ macro_rules! aligned_vec {
             /// Grows to `len` elements, filling new slots with `fill`
             /// (shrinking is not needed by the engine and not
             /// supported).
+            #[cfg(test)]
             pub(crate) fn resize(&mut self, len: usize, fill: $elem) {
                 assert!(len >= self.len, "aligned vec never shrinks in place");
                 for _ in self.len..len {

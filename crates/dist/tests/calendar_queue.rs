@@ -309,8 +309,8 @@ proptest! {
         }
     }
 
-    /// The sharded engine satisfies the same per-tick invariants the
-    /// single heap promises, under arbitrary faults and bounds.
+    /// The sharded engine satisfies the protocol's per-tick
+    /// invariants under arbitrary faults and bounds.
     #[test]
     fn sharded_tick_invariants_hold(
         seed in any::<u64>(),

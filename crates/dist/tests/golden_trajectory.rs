@@ -1,7 +1,8 @@
 //! Golden-trajectory referee: pins a hash of the complete observable
 //! trajectory — every tick's `RoundMetrics`, the per-option counts
 //! after every tick, and the final cumulative `Metrics` — for a fixed
-//! set of scenarios covering both schedulers in both execution modes.
+//! set of scenarios covering the default one-lane engine and sharded,
+//! lookahead layouts in both execution modes.
 //!
 //! The byte-identity proptests compare shard counts and thread counts
 //! *against each other* within one build; this file compares a build
@@ -81,28 +82,6 @@ fn lossy_crashing() -> FaultPlan {
 }
 
 #[test]
-fn single_heap_quiesced_trajectory_is_pinned() {
-    let net = EventRuntime::new(
-        DistConfig::new(params(), 300).with_faults(lossy_crashing()),
-        41,
-    )
-    .with_queue_bound(2);
-    check("single-heap quiesced", net, 40, 0x2ee3_48af_3f7e_44b5);
-}
-
-#[test]
-fn single_heap_async_trajectory_is_pinned() {
-    let faults = FaultPlan::with_drop_prob(0.1)
-        .unwrap()
-        .rolling_restart(30, 4);
-    let net = EventRuntime::new(DistConfig::new(params(), 300).with_faults(faults), 43)
-        .with_async_epochs(StalenessBound::Epochs(1))
-        .with_queue_bound(2);
-    let drops = check("single-heap async churn", net, 40, 0x4681_7fe6_c7d7_7392);
-    assert!(drops > 0, "queue bound 2 never overflowed");
-}
-
-#[test]
 fn sharded_quiesced_lookahead_trajectory_is_pinned() {
     let net = EventRuntime::new(
         DistConfig::new(params(), 300).with_faults(lossy_crashing()),
@@ -139,7 +118,6 @@ fn one_shard_quiesced_trajectory_is_pinned() {
         DistConfig::new(params(), 300).with_faults(lossy_crashing()),
         41,
     )
-    .with_scheduler(SchedulerKind::ShardedCalendar { shards: 1 })
     .with_queue_bound(2);
     check("one-shard quiesced", net, 40, 0x1023_0fcf_dbd1_a9d3);
 }
@@ -150,7 +128,6 @@ fn one_shard_async_churn_trajectory_is_pinned() {
         .unwrap()
         .rolling_restart(30, 4);
     let net = EventRuntime::new(DistConfig::new(params(), 300).with_faults(faults), 43)
-        .with_scheduler(SchedulerKind::ShardedCalendar { shards: 1 })
         .with_async_epochs(StalenessBound::Epochs(1))
         .with_queue_bound(2);
     let drops = check("one-shard async churn", net, 40, 0x727d_4c32_57bd_744e);

@@ -1,12 +1,15 @@
 //! Fault injection aimed at the sharded scheduler's seams: crashes
 //! and message loss landing on nodes adjacent to a shard split must
-//! behave exactly like they do under the single-heap scheduler —
-//! deterministically where the observable is schedule-independent
-//! (alive counts, zero-reply regimes, count conservation), and
-//! byte-identically across shard counts everywhere.
+//! behave exactly like they do on one lane — deterministically where
+//! the observable is schedule-independent (alive counts, zero-reply
+//! regimes, count conservation; checked against the
+//! round-synchronous runtime too), and byte-identically across shard
+//! counts everywhere.
 
 use sociolearn_core::{GroupDynamics, Params};
-use sociolearn_dist::{DistConfig, EventRuntime, FaultPlan, SchedulerKind, StalenessBound};
+use sociolearn_dist::{
+    DistConfig, EventRuntime, FaultPlan, Runtime, SchedulerKind, StalenessBound,
+};
 
 fn params() -> Params {
     Params::new(2, 0.65).unwrap()
@@ -44,13 +47,17 @@ fn boundary_fleet(kind: SchedulerKind, seed: u64) -> EventRuntime {
 #[test]
 fn boundary_crashes_kill_the_same_nodes_under_both_schedulers() {
     // The alive trajectory is fixed by the fault plan, not the
-    // schedule: both schedulers must report the identical per-round
-    // alive counts, and the crashed boundary nodes must leave the
-    // committed counts on both.
-    let mut single = boundary_fleet(SchedulerKind::SingleHeap, 5);
+    // schedule: the round-synchronous barrier and the sharded event
+    // scheduler must report the identical per-round alive counts, and
+    // the crashed boundary nodes must leave the committed counts on
+    // both.
+    let mut single = Runtime::new(
+        DistConfig::new(params(), 64).with_faults(boundary_crashes(10)),
+        5,
+    );
     let mut sharded = boundary_fleet(SchedulerKind::ShardedCalendar { shards: 4 }, 5);
     for t in 1..=25u64 {
-        let a = single.tick(&[true, false]);
+        let a = single.round(&[true, false]);
         let b = sharded.tick(&[true, false]);
         assert_eq!(a.alive, b.alive, "alive counts diverged at round {t}");
         assert_eq!(a.alive, if t < 10 { 64 } else { 56 });
@@ -133,8 +140,8 @@ fn async_boundary_crashes_are_identical_across_shard_counts() {
 #[test]
 fn async_boundary_crashes_stop_pacing_and_leave_counts() {
     // Async mode: crashed boundary nodes stop advancing their local
-    // epochs while interior survivors keep the fleet moving — same
-    // qualitative contract the single heap promises.
+    // epochs while interior survivors keep the fleet moving, on one
+    // lane and on four.
     let faults = boundary_crashes(5);
     let mut single =
         EventRuntime::new(DistConfig::new(params(), 64).with_faults(faults.clone()), 7)
@@ -190,12 +197,13 @@ fn async_total_loss_starves_replies_under_the_sharded_scheduler() {
 
 #[test]
 fn loss_and_boundary_crashes_keep_sharded_learning_alive() {
-    // The compound scenario ISSUE names: loss plus crashes at shard
+    // The compound scenario: loss plus crashes at shard
     // boundaries. Learning must survive (share far above the 1/m
-    // floor) and per-round invariants must hold throughout, on both
-    // schedulers, with a starved queue bound for extra backpressure.
+    // floor) and per-round invariants must hold throughout, on one
+    // lane and on four, with a starved queue bound for extra
+    // backpressure.
     for (kind, lookahead) in [
-        (SchedulerKind::SingleHeap, 1u64),
+        (SchedulerKind::ShardedCalendar { shards: 1 }, 1u64),
         (SchedulerKind::ShardedCalendar { shards: 4 }, 1),
         (SchedulerKind::ShardedCalendar { shards: 4 }, 4),
     ] {
@@ -268,8 +276,8 @@ fn mail_in_flight_to_a_departing_node_is_consumed_one_for_one() {
     // delivered in the next tick. When its addressee leaves at that
     // tick boundary the delivery still fires, unread, and takes the
     // message off the inbox: a departed node's depth is back to 0
-    // after its first absent tick, the same on every scheduler, and
-    // the counters agree across shard and thread counts.
+    // after its first absent tick, and the counters agree across
+    // shard and thread counts.
     const N: usize = 960;
     const TICKS: u64 = 24;
     let drive = |kind: SchedulerKind, threads: usize| {
@@ -305,13 +313,8 @@ fn mail_in_flight_to_a_departing_node_is_consumed_one_for_one() {
         }
         (trace, left_with_mail)
     };
-    let (_, single_left) = drive(SchedulerKind::SingleHeap, 1);
-    assert!(
-        single_left > 0,
-        "no node left with mail queued (single heap)"
-    );
     let (base, left) = drive(SchedulerKind::ShardedCalendar { shards: 1 }, 1);
-    assert!(left > 0, "no node left with mail queued (sharded)");
+    assert!(left > 0, "no node left with mail queued");
     assert!(
         base.iter().any(|(drops, _)| *drops > 0),
         "queue bound 2 never overflowed"

@@ -533,7 +533,7 @@ proptest! {
         let t_sync = check_membership_run(
             |r| sync.round(r), initial_alive, n, m, steps, seed, true,
         )?;
-        // Quiesced event-driven runtime, single-heap scheduler.
+        // Quiesced event-driven runtime on its default one-lane engine.
         let mut ev = EventRuntime::new(cfg.clone(), seed);
         let t_ev = check_membership_run(
             |r| ev.tick(r), initial_alive, n, m, steps, seed, true,
