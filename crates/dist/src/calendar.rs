@@ -1751,6 +1751,10 @@ impl ShardedEngine {
                 }
             }
         }
+        // The gauge is read once the tick's transitions have landed and
+        // before any event runs, so a (re)joiner whose first decision
+        // falls inside this very tick still shows in it.
+        let bootstrapping = self.lanes.iter().map(|l| l.boot_count).sum();
         // The very first tick seeds every node's epoch loop.
         if ctx.t == 1 {
             for lane in &mut self.lanes {
@@ -1789,7 +1793,7 @@ impl ShardedEngine {
         let mut rm = self.collect_rm(ctx.t);
         rm.alive = members.alive();
         Self::count_churn(members, &mut rm);
-        rm.bootstrapping = self.lanes.iter().map(|l| l.boot_count).sum();
+        rm.bootstrapping = bootstrapping;
         rm
     }
 }

@@ -108,7 +108,7 @@ fn sharded_async_churn_trajectory_is_pinned() {
         .with_lookahead(2)
         .with_threads(2)
         .with_parallel_threshold(0);
-    let drops = check("sharded(3) K=2 async churn", net, 40, 0x92d1_126a_f628_444b);
+    let drops = check("sharded(3) K=2 async churn", net, 40, 0x8a39_f565_593b_48f8);
     assert!(drops > 0, "queue bound 2 never overflowed");
 }
 
@@ -130,6 +130,6 @@ fn one_shard_async_churn_trajectory_is_pinned() {
     let net = EventRuntime::new(DistConfig::new(params(), 300).with_faults(faults), 43)
         .with_async_epochs(StalenessBound::Epochs(1))
         .with_queue_bound(2);
-    let drops = check("one-shard async churn", net, 40, 0x727d_4c32_57bd_744e);
+    let drops = check("one-shard async churn", net, 40, 0x7396_3247_cfe2_9701);
     assert!(drops > 0, "queue bound 2 never overflowed");
 }

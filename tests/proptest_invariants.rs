@@ -99,6 +99,9 @@ fn check_membership_run<F: FnMut(&[bool]) -> RoundMetrics>(
             prop_assert!(
                 (rm.committed as u64) <= rm.explorations + rm.fallbacks + rm.replies_received
             );
+            // The gauge is read after the tick's transitions land, so
+            // it always includes the tick's own (re)join inflow.
+            prop_assert!(rm.bootstrapping >= rm.joins + rm.rejoins);
         }
         totals.0 += rm.joins;
         totals.1 += rm.leaves;
