@@ -1,8 +1,15 @@
 //! Round-synchronous vs. batched vs. event-driven (epoch-quiesced and
-//! fully-async, each on both the single-heap and sharded
-//! calendar-queue schedulers) runtime cost at fleet scale, plus a
-//! faithful reimplementation of the pre-refactor (allocating) round
-//! as the baseline the allocation-free path is measured against.
+//! fully-async, each on the default one-lane calendar engine and on
+//! eight shards) runtime cost at fleet scale, plus a faithful
+//! reimplementation of the pre-refactor (allocating) round as the
+//! baseline the allocation-free path is measured against.
+//!
+//! The `event_driven` and `event_async` rows time a plain
+//! `EventRuntime::new`, which now runs the one-lane calendar engine.
+//! Their rows in `results/BENCH_baseline.json` stay as recorded: they
+//! were taken on the binary-heap scheduler that used to be the
+//! default, so the gate compares the one-lane engine against the
+//! heap's numbers.
 //!
 //! Besides the console output, a run writes machine-readable results
 //! to `results/BENCH_dist.json` at the workspace root (mean ns/round
@@ -175,8 +182,8 @@ fn dist_runtime_benches(c: &mut Criterion) {
             });
         });
 
-        // The sharded calendar-queue scheduler on the same quiesced
-        // deployment: same law, O(1) scheduling instead of the heap.
+        // The same quiesced deployment cut into eight lanes: the
+        // trajectory of `event_driven`, spread over more lanes.
         group.bench_with_input(
             BenchmarkId::new(format!("event_sharded{BENCH_SHARDS}"), n),
             &n,
@@ -282,9 +289,8 @@ fn dist_runtime_benches(c: &mut Criterion) {
             });
         });
 
-        // Fully-async on the sharded calendar scheduler — the
-        // headline row: the single `BinaryHeap` was the fully-async
-        // hot path's bottleneck, and this is the same tick without it.
+        // Fully-async on eight lanes — the trajectory of
+        // `event_async`, spread over more lanes.
         group.bench_with_input(
             BenchmarkId::new(format!("event_async_sharded{BENCH_SHARDS}"), n),
             &n,

@@ -205,11 +205,11 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
             points.push((bound.map_or(unbounded_x, |k| k as f64), time));
         }
 
-        // The production scheduler drives the same regime: fully-async
-        // on the sharded calendar engine (4 shards), at the tightest
-        // and the loosest bound of the sweep. Sharding changes the
-        // schedule realization, not the law, so convergence must track
-        // the single-heap rows within the sweep's own spread.
+        // The same regime on 4 calendar shards, at the tightest and
+        // the loosest bound of the sweep, from seeds of its own. The
+        // shard count changes where the work runs, not the law, so
+        // convergence must track the one-lane rows within the sweep's
+        // own spread.
         for (si, &bound) in [bounds[0], *bounds.last().expect("bounds nonempty")]
             .iter()
             .enumerate()
