@@ -621,10 +621,10 @@ impl Ctx {
 /// Per-node protocol state a [`ShardLane`] owns (commitment, one-slot
 /// history, local epoch) plus the per-source sequence counter and
 /// incarnation tag that give the engine its intrinsic
-/// `(time, src, seq)` total order. The inbox is transport bookkeeping outside this
-/// budget: a bounded depth counter; messages ride in their `Deliver`
-/// event. Still a constant footprint: rebalancing hands these across
-/// lanes, it never grows them.
+/// `(time, src, seq)` total order. The inbox is transport bookkeeping
+/// outside this budget: a bounded depth counter; messages ride in
+/// their `Deliver` event. Still a constant footprint: rebalancing
+/// hands these across lanes, it never grows them.
 pub(crate) const SHARD_LANE_NODE_STATE_BYTES: usize = 2 * std::mem::size_of::<NodeState>()
     + std::mem::size_of::<u64>()
     + 2 * std::mem::size_of::<u32>();
@@ -695,36 +695,37 @@ impl Posted {
     }
 }
 
-/// The per-node state of the whole fleet in global node order — what
-/// [`ShardedEngine::lay_out`] cuts into lanes, one field per
-/// [`ShardLane`] column.
+/// The per-node state of a contiguous node range, one field per
+/// [`ShardLane`] column and in the lane's own layout — what
+/// [`ShardedEngine::lay_out`] cuts into lanes and
+/// [`ShardedEngine::relayout`] gathers back. A range that becomes one
+/// lane moves in whole, without a copy.
 struct NodeColumns {
-    choices: Vec<u32>,
-    back: Vec<u32>,
-    epochs: Vec<u64>,
-    last_wake: Vec<u64>,
+    choices: AlignedU32s,
+    back: AlignedU32s,
+    epochs: AlignedU64s,
+    last_wake: AlignedU64s,
     pending: Vec<Pending>,
-    depth: Vec<u32>,
+    depth: AlignedU32s,
     rngs: Vec<SmallRng>,
-    seqs: Vec<u32>,
-    incs: Vec<u32>,
+    seqs: AlignedU32s,
+    incs: AlignedU32s,
     boot: Vec<bool>,
 }
 
 impl NodeColumns {
-    fn with_capacity(n: usize) -> Self {
-        NodeColumns {
-            choices: Vec::with_capacity(n),
-            back: Vec::with_capacity(n),
-            epochs: Vec::with_capacity(n),
-            last_wake: Vec::with_capacity(n),
-            pending: Vec::with_capacity(n),
-            depth: Vec::with_capacity(n),
-            rngs: Vec::with_capacity(n),
-            seqs: Vec::with_capacity(n),
-            incs: Vec::with_capacity(n),
-            boot: Vec::with_capacity(n),
-        }
+    /// Appends the nodes of `next`, the range right after this one.
+    fn append(&mut self, mut next: NodeColumns) {
+        self.choices.extend(next.choices.drain_all());
+        self.back.extend(next.back.drain_all());
+        self.epochs.extend(next.epochs.drain_all());
+        self.last_wake.extend(next.last_wake.drain_all());
+        self.pending.append(&mut next.pending);
+        self.depth.extend(next.depth.drain_all());
+        self.rngs.append(&mut next.rngs);
+        self.seqs.extend(next.seqs.drain_all());
+        self.incs.extend(next.incs.drain_all());
+        self.boot.append(&mut next.boot);
     }
 }
 
@@ -781,6 +782,56 @@ struct ShardLane {
 }
 
 impl ShardLane {
+    /// Lane `index` of `lanes`, owning the nodes of `nodes` from
+    /// global id `base` on.
+    fn new(index: usize, lanes: usize, base: usize, nodes: NodeColumns, m: usize) -> Self {
+        let mut counts = vec![0u64; m];
+        for &c in nodes.choices.iter() {
+            if c != NO_CHOICE {
+                counts[c as usize] += 1;
+            }
+        }
+        let boot_count = nodes.boot.iter().filter(|&&b| b).count() as u64;
+        ShardLane {
+            index,
+            base: index_u32(base),
+            choices: nodes.choices,
+            back: nodes.back,
+            epochs: nodes.epochs,
+            last_wake: nodes.last_wake,
+            pending: nodes.pending,
+            depth: nodes.depth,
+            rngs: nodes.rngs,
+            seqs: nodes.seqs,
+            incs: nodes.incs,
+            boot: nodes.boot,
+            boot_count,
+            counts,
+            calendar: Calendar::new(),
+            outboxes: (0..lanes).map(|_| Vec::new()).collect(),
+            inbound: (0..lanes).map(|_| Vec::new()).collect(),
+            posted: Posted::new(),
+            rm: RoundMetrics::default(),
+            max_queue_depth: 0,
+        }
+    }
+
+    /// Moves the lane's per-node state out, leaving it empty.
+    fn take_nodes(&mut self) -> NodeColumns {
+        NodeColumns {
+            choices: std::mem::take(&mut self.choices),
+            back: std::mem::take(&mut self.back),
+            epochs: std::mem::take(&mut self.epochs),
+            last_wake: std::mem::take(&mut self.last_wake),
+            pending: std::mem::take(&mut self.pending),
+            depth: std::mem::take(&mut self.depth),
+            rngs: std::mem::take(&mut self.rngs),
+            seqs: std::mem::take(&mut self.seqs),
+            incs: std::mem::take(&mut self.incs),
+            boot: std::mem::take(&mut self.boot),
+        }
+    }
+
     fn len(&self) -> usize {
         self.choices.len()
     }
@@ -852,12 +903,13 @@ impl ShardLane {
     }
 
     // ---- The protocol: one state machine for both epoch disciplines.
-    // ---- The modes differ only where `ctx.mode` is matched below: the
-    // ---- epoch tag on queries and timeouts, the responder's staleness
-    // ---- rule, and the async epilogue of `decide`. The presence and
-    // ---- incarnation checks run in both and never fire in a quiesced
-    // ---- epoch, whose wakes and mail only reach nodes present all
-    // ---- epoch long.
+    // ---- The modes differ only where `ctx.mode` is consulted below:
+    // ---- the epoch tag on queries and timeouts, the responder's
+    // ---- staleness rule, the async epilogue of `decide`, and the
+    // ---- wake-up's incarnation check. The presence checks run in
+    // ---- both, behind the no-membership-script short-circuit, and
+    // ---- never fire in a quiesced epoch, whose mail only reaches
+    // ---- nodes present all epoch long.
 
     /// The epoch tag a query or timeout issued now carries: the local
     /// epoch the node is working on in async mode, where the schedule
@@ -878,40 +930,42 @@ impl ShardLane {
     fn decide(&mut self, local: usize, considered: u32, now: u64, ctx: &Ctx) {
         debug_assert!(!self.pending[local].resolved, "node resolved twice");
         self.pending[local].resolved = true;
+        let adopt_p = ctx
+            .params
+            .adopt_probability(ctx.rewards[considered as usize]);
+        let adopted = self.rngs[local].gen_bool(adopt_p);
+        if adopted {
+            self.rm.committed += 1;
+        }
+        if !ctx.is_async() {
+            // A quiesced node holds no commitment until it decides, and
+            // `back` is the last epoch's snapshot peers are reading.
+            if adopted {
+                self.set_commit(local, considered);
+            }
+            return;
+        }
         if self.boot[local] {
             // First epoch decision after a (re)join: the bootstrap is
             // over, whatever stage 1 produced.
             self.boot[local] = false;
             self.boot_count -= 1;
         }
-        let adopt_p = ctx
-            .params
-            .adopt_probability(ctx.rewards[considered as usize]);
-        if ctx.is_async() {
-            // The commitment being superseded becomes the one-slot
-            // history peers can still be served from. (A quiesced node
-            // holds no commitment until it decides, and `back` is the
-            // last epoch's snapshot peers are reading.)
-            self.back[local] = self.choices[local];
-        }
-        let adopted = self.rngs[local].gen_bool(adopt_p);
-        if adopted {
-            self.rm.committed += 1;
-        }
+        // The commitment being superseded becomes the one-slot history
+        // peers can still be served from.
+        self.back[local] = self.choices[local];
         self.set_commit(local, if adopted { considered } else { NO_CHOICE });
-        if ctx.is_async() {
-            self.epochs[local] += 1;
-            // Next local epoch: one period after the last wake-up, or
-            // immediately (plus jitter) if this epoch overran the
-            // period — that overrun is how slow nodes drift behind
-            // their peers (they catch back up by running epochs
-            // back-to-back once the retry storm passes).
-            let cadence = self.last_wake[local] + ASYNC_EPOCH_PERIOD;
-            let at = cadence.max(now + 1) + self.rngs[local].gen_range(0..ASYNC_WAKE_JITTER);
-            let node = self.base + index_u32(local);
-            let inc = self.incs[local];
-            self.push_from(node, at, Event::Wake { node, inc }, ctx);
-        }
+        self.epochs[local] += 1;
+        // Next local epoch: one period after the last wake-up, or
+        // immediately (plus jitter) if this epoch overran the period —
+        // that overrun is how slow nodes drift behind their peers
+        // (they catch back up by running epochs back-to-back once the
+        // retry storm passes).
+        let cadence = self.last_wake[local] + ASYNC_EPOCH_PERIOD;
+        let at = cadence.max(now + 1) + self.rngs[local].gen_range(0..ASYNC_WAKE_JITTER);
+        let node = self.base + index_u32(local);
+        let inc = self.incs[local];
+        self.push_from(node, at, Event::Wake { node, inc }, ctx);
     }
 
     /// Issues query `attempt` for a local node (or the uniform
@@ -1018,14 +1072,19 @@ impl ShardLane {
         match entry.payload {
             Event::Wake { node, inc } => {
                 let local = (node - self.base) as usize;
-                // The incarnation tag kills async wake-ups scheduled
-                // before a leave: they are the only events whose
-                // horizon outlives a one-round absence.
-                if ctx.is_present(node) && inc == self.incs[local] {
+                if ctx.is_async() {
+                    // The incarnation tag kills wake-ups scheduled
+                    // before a leave: they are the only events whose
+                    // horizon outlives a one-round absence. (A
+                    // quiesced epoch wakes each present node once,
+                    // after `begin_epoch` reset its attempt.)
+                    if !ctx.is_present(node) || inc != self.incs[local] {
+                        return;
+                    }
                     self.pending[local] = Pending::default();
                     self.last_wake[local] = now;
-                    self.start_attempt(local, 1, now, ctx);
                 }
+                self.start_attempt(local, 1, now, ctx);
             }
             Event::QueryArrive { from, to, epoch } => {
                 // An absent peer (crashed or departed) swallows the
@@ -1173,8 +1232,8 @@ impl ShardLane {
 
 /// The sharded calendar-queue engine behind
 /// [`SchedulerKind::ShardedCalendar`]. Owned by the
-/// [`EventRuntime`](crate::EventRuntime), which routes ticks here when
-/// the sharded scheduler is selected.
+/// [`EventRuntime`](crate::EventRuntime), which routes every tick
+/// here.
 #[derive(Debug, Clone)]
 pub(crate) struct ShardedEngine {
     /// The balanced node→shard partition.
@@ -1197,17 +1256,11 @@ pub(crate) struct ShardedEngine {
 }
 
 impl ShardedEngine {
-    /// Builds the engine: exactly `min(shards, n)` lanes over
-    /// contiguous node ranges balanced by round-1 presence, with one
-    /// RNG stream per node split from `seed`. Nodes outside the
-    /// initial fleet (join-scripted flash crowds) start with no
-    /// commitment.
-    pub(crate) fn new(
-        cfg: &DistConfig,
-        seed: u64,
-        shards: usize,
-        members: &MembershipTracker,
-    ) -> Self {
+    /// Builds a one-lane engine with one RNG stream per node split
+    /// from `seed` ([`repartition`](Self::repartition) cuts it into
+    /// more lanes). Nodes outside the initial fleet (join-scripted
+    /// flash crowds) start with no commitment.
+    pub(crate) fn new(cfg: &DistConfig, seed: u64, members: &MembershipTracker) -> Self {
         let n = cfg.num_nodes();
         let m = cfg.params().num_options();
         let nodes = NodeColumns {
@@ -1220,19 +1273,19 @@ impl ShardedEngine {
                     }
                 })
                 .collect(),
-            back: vec![NO_CHOICE; n],
-            epochs: vec![0; n],
-            last_wake: vec![0; n],
+            back: AlignedU32s::with_len(n, NO_CHOICE),
+            epochs: AlignedU64s::with_len(n, 0),
+            last_wake: AlignedU64s::with_len(n, 0),
             pending: vec![Pending::default(); n],
-            depth: vec![0; n],
+            depth: AlignedU32s::with_len(n, 0),
             rngs: (0..n)
                 .map(|i| SmallRng::seed_from_u64(node_stream_seed(seed, i)))
                 .collect(),
-            seqs: vec![0; n],
-            incs: vec![0; n],
+            seqs: AlignedU32s::with_len(n, 0),
+            incs: AlignedU32s::with_len(n, 0),
             boot: vec![false; n],
         };
-        let map = ShardMap::balanced(n, ShardMap::lane_count(n, shards), members);
+        let map = ShardMap::balanced(n, 1, members);
         let mut engine = ShardedEngine {
             map: map.clone(),
             lanes: Vec::new(),
@@ -1245,10 +1298,10 @@ impl ShardedEngine {
         engine
     }
 
-    /// Re-cuts the engine into `min(shards, n)` lanes balanced by
-    /// present-node load. Used before the first tick to pick the shard
-    /// count; the per-node state (and its RNG streams) moves, it is
-    /// not rebuilt.
+    /// Re-cuts the engine into exactly `min(shards, n)` lanes over
+    /// contiguous node ranges balanced by present-node load. Used
+    /// before the first tick to pick the shard count; the per-node
+    /// state (and its RNG streams) moves, it is not rebuilt.
     pub(crate) fn repartition(&mut self, shards: usize, members: &MembershipTracker) {
         let n = self.present.len();
         let map = ShardMap::balanced(n, ShardMap::lane_count(n, shards), members);
@@ -1533,33 +1586,24 @@ impl ShardedEngine {
     /// calendar entries (queued mail rides in its `Deliver` entry) —
     /// and cuts the result into the lanes of `map`.
     fn relayout(&mut self, map: ShardMap) {
-        let n = self.present.len();
         let m = self.lanes[0].counts.len();
         let depth_watermark = self.max_queue_depth();
-        let mut entries: Vec<Entry<Event>> = Vec::new();
-        let mut nodes = NodeColumns::with_capacity(n);
+        let mut lanes = std::mem::take(&mut self.lanes);
+        debug_assert!(
+            lanes.iter().all(|lane| lane.posted.is_empty()
+                && lane.outboxes.iter().chain(&lane.inbound).all(Vec::is_empty)),
+            "relayout crossed a window with undelivered mail"
+        );
+        let entries: Vec<Entry<Event>> = lanes
+            .iter_mut()
+            .flat_map(|lane| lane.calendar.drain_all())
+            .collect();
         // Lanes own ascending contiguous ranges, so appending in lane
-        // order flattens back to global node order. The aligned
-        // struct-of-arrays fields flatten through plain `Vec`s and
-        // re-chunk in `lay_out`.
-        for mut lane in std::mem::take(&mut self.lanes) {
-            debug_assert!(
-                lane.posted.is_empty()
-                    && lane.outboxes.iter().chain(&lane.inbound).all(Vec::is_empty),
-                "relayout crossed a window with undelivered mail"
-            );
-            entries.append(&mut lane.calendar.drain_all());
-            nodes.choices.extend(lane.choices.drain_all());
-            nodes.back.extend(lane.back.drain_all());
-            nodes.epochs.extend(lane.epochs.drain_all());
-            nodes.last_wake.extend(lane.last_wake.drain_all());
-            nodes.pending.append(&mut lane.pending);
-            nodes.depth.extend(lane.depth.drain_all());
-            nodes.rngs.append(&mut lane.rngs);
-            nodes.seqs.extend(lane.seqs.drain_all());
-            nodes.incs.extend(lane.incs.drain_all());
-            nodes.boot.append(&mut lane.boot);
-        }
+        // order flattens back to global node order; the first lane's
+        // columns are the start of the flat state.
+        let mut columns = lanes.iter_mut().map(ShardLane::take_nodes);
+        let mut nodes = columns.next().expect("an engine has at least one lane");
+        columns.for_each(|next| nodes.append(next));
         self.lay_out(map, m, nodes, entries, depth_watermark);
     }
 
@@ -1571,58 +1615,44 @@ impl ShardedEngine {
         &mut self,
         map: ShardMap,
         m: usize,
-        nodes: NodeColumns,
+        mut nodes: NodeColumns,
         entries: Vec<Entry<Event>>,
         depth_watermark: usize,
     ) {
-        let lane_count = map.lanes();
-        let mut choices = nodes.choices.into_iter();
-        let mut back = nodes.back.into_iter();
-        let mut epochs = nodes.epochs.into_iter();
-        let mut last_wake = nodes.last_wake.into_iter();
-        let mut pending = nodes.pending.into_iter();
-        let mut depth = nodes.depth.into_iter();
-        let mut rngs = nodes.rngs.into_iter();
-        let mut seqs = nodes.seqs.into_iter();
-        let mut incs = nodes.incs.into_iter();
-        let mut boot = nodes.boot.into_iter();
-        self.lanes = (0..lane_count)
-            .map(|index| {
-                let base = map.base_of(index);
-                let len = map.end_of(index) - base;
-                let lane_choices: AlignedU32s = choices.by_ref().take(len).collect();
-                let mut counts = vec![0u64; m];
-                for &c in lane_choices.iter() {
-                    if c != NO_CHOICE {
-                        counts[c as usize] += 1;
-                    }
-                }
-                let lane_boot: Vec<bool> = boot.by_ref().take(len).collect();
-                let boot_count = lane_boot.iter().filter(|&&b| b).count() as u64;
-                ShardLane {
-                    index,
-                    base: index_u32(base),
-                    choices: lane_choices,
-                    back: back.by_ref().take(len).collect(),
-                    epochs: epochs.by_ref().take(len).collect(),
-                    last_wake: last_wake.by_ref().take(len).collect(),
-                    pending: pending.by_ref().take(len).collect(),
-                    depth: depth.by_ref().take(len).collect(),
-                    rngs: rngs.by_ref().take(len).collect(),
-                    seqs: seqs.by_ref().take(len).collect(),
-                    incs: incs.by_ref().take(len).collect(),
-                    boot: lane_boot,
-                    boot_count,
-                    counts,
-                    calendar: Calendar::new(),
-                    outboxes: (0..lane_count).map(|_| Vec::new()).collect(),
-                    inbound: (0..lane_count).map(|_| Vec::new()).collect(),
-                    posted: Posted::new(),
-                    rm: RoundMetrics::default(),
-                    max_queue_depth: 0,
-                }
-            })
-            .collect();
+        let lanes = map.lanes();
+        self.lanes = if lanes == 1 {
+            vec![ShardLane::new(0, 1, 0, nodes, m)]
+        } else {
+            let mut choices = nodes.choices.drain_all();
+            let mut back = nodes.back.drain_all();
+            let mut epochs = nodes.epochs.drain_all();
+            let mut last_wake = nodes.last_wake.drain_all();
+            let mut pending = nodes.pending.drain(..);
+            let mut depth = nodes.depth.drain_all();
+            let mut rngs = nodes.rngs.drain(..);
+            let mut seqs = nodes.seqs.drain_all();
+            let mut incs = nodes.incs.drain_all();
+            let mut boot = nodes.boot.drain(..);
+            (0..lanes)
+                .map(|index| {
+                    let base = map.base_of(index);
+                    let len = map.end_of(index) - base;
+                    let lane_nodes = NodeColumns {
+                        choices: choices.by_ref().take(len).collect(),
+                        back: back.by_ref().take(len).collect(),
+                        epochs: epochs.by_ref().take(len).collect(),
+                        last_wake: last_wake.by_ref().take(len).collect(),
+                        pending: pending.by_ref().take(len).collect(),
+                        depth: depth.by_ref().take(len).collect(),
+                        rngs: rngs.by_ref().take(len).collect(),
+                        seqs: seqs.by_ref().take(len).collect(),
+                        incs: incs.by_ref().take(len).collect(),
+                        boot: boot.by_ref().take(len).collect(),
+                    };
+                    ShardLane::new(index, lanes, base, lane_nodes, m)
+                })
+                .collect()
+        };
         // The depth gauge is an engine-wide high-water mark; park it
         // on the first lane so `max_queue_depth()` keeps reporting it.
         self.lanes[0].max_queue_depth = depth_watermark;

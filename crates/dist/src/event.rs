@@ -240,7 +240,7 @@ impl EventRuntime {
     /// [`DEFAULT_QUEUE_BOUND`], and a one-lane engine.
     pub fn new(cfg: DistConfig, seed: u64) -> Self {
         let members = MembershipTracker::new(cfg.faults(), cfg.num_nodes());
-        let engine = ShardedEngine::new(&cfg, seed, 1, &members);
+        let engine = ShardedEngine::new(&cfg, seed, &members);
         let mut counts = vec![0u64; cfg.params().num_options()];
         engine.write_counts(&mut counts);
         EventRuntime {

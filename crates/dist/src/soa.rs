@@ -40,9 +40,7 @@ macro_rules! aligned_vec {
         }
 
         impl $name {
-            /// A vector of `len` copies of `fill` (the engine builds its
-            /// lanes by collecting; tests build fixtures with this).
-            #[cfg(test)]
+            /// A vector of `len` copies of `fill`.
             pub(crate) fn with_len(len: usize, fill: $elem) -> Self {
                 let mut v = Self::default();
                 v.resize(len, fill);
@@ -66,7 +64,6 @@ macro_rules! aligned_vec {
             /// Grows to `len` elements, filling new slots with `fill`
             /// (shrinking is not needed by the engine and not
             /// supported).
-            #[cfg(test)]
             pub(crate) fn resize(&mut self, len: usize, fill: $elem) {
                 assert!(len >= self.len, "aligned vec never shrinks in place");
                 for _ in self.len..len {
@@ -82,8 +79,8 @@ macro_rules! aligned_vec {
                     .take(self.len())
             }
 
-            /// Empties `self`, yielding its elements in order — the
-            /// rebalance path's flatten step.
+            /// Empties `self`, yielding its elements in order — how
+            /// the engine gathers lanes and cuts them anew.
             pub(crate) fn drain_all(&mut self) -> impl Iterator<Item = $elem> + '_ {
                 let len = self.len;
                 self.len = 0;
